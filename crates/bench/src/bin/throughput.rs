@@ -249,10 +249,15 @@ fn bench_inference(ds: &Dataset, dim: usize) -> InferRow {
 
     let emb = encode_all(model.as_ref(), trajs, 16);
     let store = EmbeddingStore::from_vectors(&emb);
-    let mut rng = StdRng::seed_from_u64(7);
-    let index_bytes = store.build_hnsw_quantized(HnswConfig::default(), &mut rng).memory_bytes();
-    let mut rng = StdRng::seed_from_u64(7);
-    let index_f32_bytes = store.build_hnsw(HnswConfig::default(), &mut rng).memory_bytes();
+    let index_bytes_of = |mut index: Hnsw| {
+        let mut rng = StdRng::seed_from_u64(7);
+        for i in 0..store.len() {
+            index.insert(store.get(i), &mut rng);
+        }
+        index.memory_bytes()
+    };
+    let index_bytes = index_bytes_of(Hnsw::new_quantized(store.dim(), HnswConfig::default()));
+    let index_f32_bytes = index_bytes_of(Hnsw::new(store.dim(), HnswConfig::default()));
 
     InferRow {
         simd_dispatch: tmn_autograd::simd::dispatch_name().to_string(),

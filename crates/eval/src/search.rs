@@ -25,6 +25,19 @@ pub fn embedding_distance(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(x, y)| ((x - y) * (x - y)) as f64).sum::<f64>().sqrt()
 }
 
+/// The best `k` of `(id, distance)` candidates, ascending. Ties on distance
+/// break on id, so the result is a pure function of the candidate *set* —
+/// a scatter-gather merge gives the same list whatever order the shards
+/// answer in. Incomparable (NaN) distances compare equal instead of
+/// panicking.
+pub fn merge_topk<I: Ord>(mut candidates: Vec<(I, f64)>, k: usize) -> Vec<(I, f64)> {
+    candidates.sort_by(|a, b| {
+        a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+    });
+    candidates.truncate(k);
+    candidates
+}
+
 /// Encode each trajectory independently (self-paired batch), returning one
 /// `d`-dim embedding per trajectory. Intended for models with
 /// `is_pair_dependent() == false`.
@@ -228,6 +241,20 @@ mod tests {
         // Self pair: identical inputs on both sides -> identical outputs.
         assert!(rows[0][1] < 1e-5, "self distance {}", rows[0][1]);
         assert!(rows[0].iter().all(|d| d.is_finite()));
+    }
+
+    #[test]
+    fn merge_is_order_independent_and_tie_broken_by_id() {
+        let a = vec![(3u64, 1.0), (1, 0.5), (7, 2.0)];
+        let b = vec![(2u64, 0.5), (9, 1.5)];
+        let mut ab = a.clone();
+        ab.extend(&b);
+        let mut ba = b.clone();
+        ba.extend(&a);
+        let m1 = merge_topk(ab, 3);
+        let m2 = merge_topk(ba, 3);
+        assert_eq!(m1, m2, "merge must not depend on shard arrival order");
+        assert_eq!(m1, vec![(1, 0.5), (2, 0.5), (3, 1.0)], "ties break on id");
     }
 
     #[test]

@@ -1,50 +1,23 @@
-//! Persistent embedding stores: hold the encoded database, serialize it
-//! compactly, and search it (brute force or via HNSW).
+//! Persistent embedding stores: hold the encoded database, persist it, and
+//! search it by exact linear scan.
 //!
-//! Two persistence paths share one search API:
+//! The on-disk form is the CRC-framed `tmn-store` embeddings file (TMNS).
+//! [`EmbeddingStore::open_mmap`] maps it and reads it **zero-copy**:
+//! [`EmbeddingStore::get`] hands out `&[f32]` slices straight into the
+//! kernel mapping, so a multi-GB corpus costs one open, not one
+//! materialization. Approximate search lives in `tmn_serve::ShardSet`,
+//! which bulk-loads from a store.
 //!
-//! - the legacy in-RAM `TMNE` frame (little-endian: magic `TMNE` | version
-//!   u32 | dim u32 | count u32 | `count * dim` f32), decoded into an owned
-//!   buffer, and
-//! - the CRC-framed `tmn-store` embeddings file, opened as an mmap(2) view
-//!   and read **zero-copy**: [`EmbeddingStore::get`] hands out `&[f32]`
-//!   slices straight into the kernel mapping, so a multi-GB corpus costs
-//!   one open, not one materialization.
-//!
-//! Every search method is backing-agnostic — owned and mapped stores with
-//! equal contents answer every query identically.
+//! Every method is backing-agnostic — owned and mapped stores with equal
+//! contents answer every query identically.
 
 use std::path::Path;
-use tmn_index::{AnnIndex, Hnsw, HnswConfig, ShardedHnsw};
 use tmn_store::{EmbeddingsFile, EmbeddingsWriter};
-
-const MAGIC: &[u8; 4] = b"TMNE";
-const VERSION: u32 = 1;
-
-/// Errors from decoding an embedding buffer.
-#[derive(Debug, PartialEq, Eq)]
-pub enum StoreError {
-    BadMagic,
-    UnsupportedVersion(u32),
-    Truncated,
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::BadMagic => write!(f, "not a TMN embedding store (bad magic)"),
-            StoreError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
-            StoreError::Truncated => write!(f, "buffer ends mid-record"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
 
 /// Where the row-major `count * dim` f32 block lives.
 #[derive(Debug, Clone)]
 enum Backing {
-    /// Heap buffer (built in memory or decoded from the `TMNE` frame).
+    /// Heap buffer built in memory.
     Owned(Vec<f32>),
     /// CRC-verified mmap(2) view of a `tmn-store` embeddings file; reads
     /// are zero-copy slices into the mapping.
@@ -131,143 +104,16 @@ impl EmbeddingStore {
     /// Exact k-NN by linear scan, `(index, distance)` ascending.
     pub fn knn_exact(&self, query: &[f32], k: usize) -> Vec<(usize, f64)> {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut all: Vec<(usize, f64)> = (0..self.len())
+        let all = (0..self.len())
             .map(|i| (i, crate::embedding_distance(query, self.get(i))))
             .collect();
-        all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
-    }
-
-    /// Build an HNSW index over the stored embeddings.
-    pub fn build_hnsw(&self, config: HnswConfig, rng: &mut impl rand::Rng) -> Hnsw {
-        let mut index = Hnsw::new(self.dim.max(1), config);
-        for i in 0..self.len() {
-            index.insert(self.get(i), rng);
-        }
-        index
-    }
-
-    /// Build an int8-quantized HNSW index over the stored embeddings
-    /// (≈ (d+2)/(4d) of the f32 vector bytes). Pair with [`knn_rerank`]
-    /// (which reranks against this store's exact f32 embeddings) to keep
-    /// top-k quality unchanged.
-    ///
-    /// [`knn_rerank`]: EmbeddingStore::knn_rerank
-    pub fn build_hnsw_quantized(&self, config: HnswConfig, rng: &mut impl rand::Rng) -> Hnsw {
-        let mut index = Hnsw::new_quantized(self.dim.max(1), config);
-        for i in 0..self.len() {
-            index.insert(self.get(i), rng);
-        }
-        index
-    }
-
-    /// Build a sharded HNSW over the stored embeddings: each index `i` is
-    /// routed to its shard by the stable id→shard router, and queries
-    /// scatter-gather across shards (the serving layout). Pair with
-    /// [`knn_rerank`](EmbeddingStore::knn_rerank), which is index-agnostic.
-    pub fn build_hnsw_sharded(
-        &self,
-        config: HnswConfig,
-        shards: usize,
-        rng: &mut impl rand::Rng,
-    ) -> ShardedHnsw {
-        let mut index = ShardedHnsw::new(self.dim.max(1), config, shards);
-        for i in 0..self.len() {
-            index.insert(i, self.get(i), rng);
-        }
-        index
-    }
-
-    /// [`build_hnsw_sharded`](EmbeddingStore::build_hnsw_sharded) with
-    /// int8-quantized per-shard storage.
-    pub fn build_hnsw_quantized_sharded(
-        &self,
-        config: HnswConfig,
-        shards: usize,
-        rng: &mut impl rand::Rng,
-    ) -> ShardedHnsw {
-        let mut index = ShardedHnsw::new_quantized(self.dim.max(1), config, shards);
-        for i in 0..self.len() {
-            index.insert(i, self.get(i), rng);
-        }
-        index
-    }
-
-    /// Approximate top-k with exact rerank: fetch a `shortlist`-sized
-    /// candidate set from `index` (beam width = shortlist), then re-score
-    /// every candidate against the store's full-precision embeddings and
-    /// return the best `k` as `(index, distance)` ascending. With a
-    /// shortlist a few times `k`, this reproduces exact-f32 ranking even
-    /// over a quantized index.
-    ///
-    /// `index` is any [`AnnIndex`] — a single [`Hnsw`] or a [`ShardedHnsw`]
-    /// whose shortlist is the scatter-gather merge across shards. (Earlier
-    /// revisions took `&Hnsw` only, baking in a single-shard assumption.)
-    pub fn knn_rerank(
-        &self,
-        index: &impl AnnIndex,
-        query: &[f32],
-        k: usize,
-        shortlist: usize,
-    ) -> Vec<(usize, f64)> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let ef = shortlist.max(k);
-        let mut scored: Vec<(usize, f64)> = index
-            .knn_ef(query, ef, ef)
-            .into_iter()
-            .map(|(i, _)| (i, crate::embedding_distance(query, self.get(i))))
-            .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored
-    }
-
-    /// Serialize to the framed binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let data = self.data();
-        let mut out = Vec::with_capacity(16 + data.len() * 4);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for v in data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decode from the framed binary format.
-    pub fn from_bytes(buf: &[u8]) -> Result<EmbeddingStore, StoreError> {
-        if buf.len() < 16 {
-            return Err(StoreError::Truncated);
-        }
-        if &buf[..4] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let dim = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-        let count = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
-        let expected = 16 + 4 * dim * count;
-        if buf.len() < expected {
-            return Err(StoreError::Truncated);
-        }
-        let data = buf[16..expected]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(EmbeddingStore { dim, backing: Backing::Owned(data) })
+        crate::merge_topk(all, k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn store() -> EmbeddingStore {
         EmbeddingStore::from_vectors(&[
@@ -276,15 +122,6 @@ mod tests {
             vec![0.0, 2.0],
             vec![3.0, 4.0],
         ])
-    }
-
-    #[test]
-    fn roundtrip() {
-        let s = store();
-        let back = EmbeddingStore::from_bytes(&s.to_bytes()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.len(), 4);
-        assert_eq!(back.dim(), 2);
     }
 
     #[test]
@@ -297,65 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn hnsw_agrees_with_exact_on_small_store() {
-        let vectors: Vec<Vec<f32>> = (0..100)
-            .map(|i| vec![(i % 10) as f32, (i / 10) as f32])
-            .collect();
-        let s = EmbeddingStore::from_vectors(&vectors);
-        let mut rng = StdRng::seed_from_u64(1);
-        let index = s.build_hnsw(HnswConfig::default(), &mut rng);
-        let exact: Vec<usize> = s.knn_exact(&[4.2, 4.2], 5).into_iter().map(|(i, _)| i).collect();
-        let approx: Vec<usize> = index.knn(&[4.2, 4.2], 5).into_iter().map(|(i, _)| i).collect();
-        let hits = approx.iter().filter(|i| exact.contains(i)).count();
-        assert!(hits >= 4, "HNSW disagreed with exact on a trivial grid");
-    }
-
-    #[test]
-    fn quantized_rerank_matches_exact_topk() {
-        let vectors: Vec<Vec<f32>> = (0..200)
-            .map(|i| {
-                vec![
-                    ((i * 37) % 101) as f32 / 101.0,
-                    ((i * 53) % 97) as f32 / 97.0,
-                    ((i * 71) % 89) as f32 / 89.0,
-                    ((i * 13) % 83) as f32 / 83.0,
-                ]
-            })
-            .collect();
-        let s = EmbeddingStore::from_vectors(&vectors);
-        let mut rng = StdRng::seed_from_u64(5);
-        let index = s.build_hnsw_quantized(HnswConfig::default(), &mut rng);
-        assert!(index.is_quantized());
-        let q = [0.4f32, 0.6, 0.3, 0.7];
-        let exact = s.knn_exact(&q, 10);
-        let reranked = s.knn_rerank(&index, &q, 10, 50);
-        let exact_ids: Vec<usize> = exact.iter().map(|&(i, _)| i).collect();
-        let rerank_ids: Vec<usize> = reranked.iter().map(|&(i, _)| i).collect();
-        let hits = rerank_ids.iter().filter(|i| exact_ids.contains(i)).count();
-        assert!(hits >= 9, "rerank recovered only {hits}/10 exact neighbours");
-        // Distances on the rerank path are exact f32 distances.
-        for &(i, d) in &reranked {
-            assert_eq!(d, crate::embedding_distance(&q, s.get(i)));
-        }
-    }
-
-    #[test]
-    fn corrupt_buffers_rejected() {
-        assert_eq!(EmbeddingStore::from_bytes(b"nope"), Err(StoreError::Truncated));
-        let mut buf = store().to_bytes();
-        buf[0] = b'X';
-        assert_eq!(EmbeddingStore::from_bytes(&buf), Err(StoreError::BadMagic));
-        let mut buf2 = store().to_bytes();
-        buf2.truncate(buf2.len() - 4);
-        assert_eq!(EmbeddingStore::from_bytes(&buf2), Err(StoreError::Truncated));
-    }
-
-    #[test]
     fn empty_store() {
         let s = EmbeddingStore::from_vectors(&[]);
         assert!(s.is_empty());
-        let back = EmbeddingStore::from_bytes(&s.to_bytes()).unwrap();
-        assert!(back.is_empty());
+        assert_eq!(s.len(), 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use tmn_traj::Trajectory;
 /// Registry names for the serving-path metrics (see DESIGN.md §8). One
 /// histogram observation per query span; for independent-embedding models
 /// the embed/index spans cover the whole batch and are recorded once per
-/// search call (documented on [`time_search_phases`]).
+/// search call (documented on [`time_search_phases_detailed`]).
 pub const QUERY_EMBED_NS: &str = "query_embed_ns";
 pub const QUERY_INDEX_NS: &str = "query_index_ns";
 pub const QUERY_RANK_NS: &str = "query_rank_ns";
@@ -40,8 +40,9 @@ pub struct EfficiencyRow {
 }
 
 /// Wall-clock seconds to compute all pairwise distances of `trajs` under
-/// `metric`, plus the number of pair evaluations performed — the per-pair
-/// mean is `secs / pairs` with no re-derived denominator.
+/// `metric` (the exact-metric "Computation" entry of Table III), plus the
+/// number of pair evaluations performed — the per-pair mean is
+/// `secs / pairs` with no re-derived denominator.
 pub fn time_exact_pairwise_counted(
     trajs: &[Trajectory],
     metric: Metric,
@@ -59,13 +60,6 @@ pub fn time_exact_pairwise_counted(
     // Keep the accumulation observable so the loop cannot be optimized out.
     std::hint::black_box(acc);
     (start.elapsed().as_secs_f64(), pairs)
-}
-
-/// Wall-clock seconds to compute all pairwise distances of `trajs` under
-/// `metric` (the exact-metric "Computation" entry of Table III).
-/// Thin wrapper over [`time_exact_pairwise_counted`].
-pub fn time_exact_pairwise(trajs: &[Trajectory], metric: Metric, params: &MetricParams) -> f64 {
-    time_exact_pairwise_counted(trajs, metric, params).0
 }
 
 /// Total wall-clock seconds to encode every trajectory with `model`
@@ -125,17 +119,6 @@ pub fn time_inference_split(
     std::hint::black_box(&emb_g);
     let graphed_s = start.elapsed().as_secs_f64();
     InferenceTimings { nograd_s, graphed_s, trajectories: trajs.len() as u64 }
-}
-
-/// Mean seconds to encode one trajectory. Thin wrapper over
-/// [`time_inference_per_trajectory_counted`].
-pub fn time_inference_per_trajectory(
-    model: &dyn PairModel,
-    trajs: &[Trajectory],
-    batch_size: usize,
-) -> f64 {
-    let (secs, n) = time_inference_per_trajectory_counted(model, trajs, batch_size);
-    secs / n.max(1) as f64
 }
 
 /// Mean seconds to compute the Euclidean similarity of two `d`-dim
@@ -201,7 +184,8 @@ fn elapsed_ns(start: Instant) -> u64 {
 
 /// Run a full top-k search for `queries` (database indices) over `trajs`
 /// and report per-phase timings alongside each query's `(index, distance)`
-/// result list (self included).
+/// result list (self included), plus the exact per-span latencies it
+/// recorded (the metrics-histogram oracle used by `tests/serving_metrics.rs`).
 ///
 /// Independent-embedding models go through encode → store-build → k-NN scan;
 /// pair-dependent models (TMN) pay the encoding per query and skip the
@@ -218,19 +202,6 @@ fn elapsed_ns(start: Instant) -> u64 {
 /// `eval.index` / `eval.rank` child spans, so offline evaluation runs land
 /// in the flight recorder exactly like live serve traffic. Histogram
 /// observations carry the trace id as an exemplar.
-pub fn time_search_phases(
-    model: &dyn PairModel,
-    trajs: &[Trajectory],
-    queries: &[usize],
-    k: usize,
-    batch_size: usize,
-) -> (SearchPhases, Vec<Vec<(usize, f64)>>) {
-    let (phases, results, _) = time_search_phases_detailed(model, trajs, queries, k, batch_size);
-    (phases, results)
-}
-
-/// [`time_search_phases`] plus the exact per-span latencies it recorded
-/// (the metrics-histogram oracle used by `tests/serving_metrics.rs`).
 pub fn time_search_phases_detailed(
     model: &dyn PairModel,
     trajs: &[Trajectory],
@@ -260,10 +231,7 @@ pub fn time_search_phases_detailed(
         for row in &rows {
             let t0 = trace::now_ns();
             let start = Instant::now();
-            let mut idx: Vec<usize> = (0..row.len()).collect();
-            idx.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap().then(a.cmp(&b)));
-            idx.truncate(k);
-            let ranked: Vec<(usize, f64)> = idx.into_iter().map(|i| (i, row[i])).collect();
+            let ranked = crate::merge_topk(row.iter().copied().enumerate().collect(), k);
             let ns = elapsed_ns(start);
             trace::record_span(ctx, "eval.rank", t0, ns, &[("candidates", row.len() as u64)]);
             metrics::observe_ns_traced(QUERY_RANK_NS, ns, ctx.trace_id());
@@ -321,8 +289,10 @@ mod tests {
 
     #[test]
     fn exact_timing_positive_and_scales() {
-        let small = time_exact_pairwise(&trajs(6, 20), Metric::Dtw, &MetricParams::default());
-        let large = time_exact_pairwise(&trajs(12, 40), Metric::Dtw, &MetricParams::default());
+        let params = MetricParams::default();
+        let (small, pairs) = time_exact_pairwise_counted(&trajs(6, 20), Metric::Dtw, &params);
+        let (large, _) = time_exact_pairwise_counted(&trajs(12, 40), Metric::Dtw, &params);
+        assert_eq!(pairs, 15, "6 trajectories have 15 unordered pairs");
         assert!(small > 0.0);
         assert!(large > small, "more work must take longer: {small} vs {large}");
     }
@@ -330,8 +300,9 @@ mod tests {
     #[test]
     fn inference_timing_positive() {
         let model = ModelKind::Srn.build(&ModelConfig { dim: 8, seed: 1 });
-        let t = time_inference_per_trajectory(model.as_ref(), &trajs(4, 10), 4);
+        let (t, n) = time_inference_per_trajectory_counted(model.as_ref(), &trajs(4, 10), 4);
         assert!(t > 0.0 && t.is_finite());
+        assert_eq!(n, 4);
     }
 
     #[test]
@@ -347,7 +318,7 @@ mod tests {
     fn search_phases_independent_model() {
         let model = ModelKind::Srn.build(&ModelConfig { dim: 8, seed: 1 });
         let ts = trajs(8, 10);
-        let (phases, results) = time_search_phases(model.as_ref(), &ts, &[0, 3], 4, 4);
+        let (phases, results, _) = time_search_phases_detailed(model.as_ref(), &ts, &[0, 3], 4, 4);
         assert_eq!(phases.queries, 2);
         assert!(phases.embed_s > 0.0 && phases.rank_s > 0.0);
         assert_eq!(results.len(), 2);
@@ -363,7 +334,7 @@ mod tests {
     fn search_phases_pair_dependent_model_skips_index() {
         let model = ModelKind::Tmn.build(&ModelConfig { dim: 8, seed: 2 });
         let ts = trajs(6, 8);
-        let (phases, results) = time_search_phases(model.as_ref(), &ts, &[1], 3, 3);
+        let (phases, results, _) = time_search_phases_detailed(model.as_ref(), &ts, &[1], 3, 3);
         assert_eq!(phases.index_s, 0.0, "pair-dependent search has no index phase");
         assert!(phases.embed_s > 0.0);
         assert_eq!(results[0].len(), 3);
@@ -379,7 +350,7 @@ mod tests {
             ..Default::default()
         });
         trace::set_enabled(true);
-        let _ = time_search_phases(model.as_ref(), &ts, &[0, 3], 4, 4);
+        let _ = time_search_phases_detailed(model.as_ref(), &ts, &[0, 3], 4, 4);
         trace::set_enabled(false);
         let snap = trace::recent()
             .into_iter()

@@ -18,4 +18,4 @@ mod sharded;
 
 pub use hnsw::{Hnsw, HnswConfig};
 pub use kdtree::KdTree;
-pub use sharded::{merge_topk, splitmix64, AnnIndex, ShardRouter, ShardedHnsw};
+pub use sharded::{splitmix64, ShardRouter};

@@ -1,18 +1,10 @@
-//! Sharded HNSW: a stable id→shard router plus per-shard indexes merged by
-//! scatter-gather top-k.
+//! Stable id→shard routing for sharded HNSW.
 //!
-//! One HNSW per core is the serving layout (`tmn-serve` wraps each shard in
-//! a lock for concurrent mutation); this module holds the *pure* pieces both
-//! the batch eval path and the serving engine share — the [`ShardRouter`]
-//! (so an id always lands on the same shard no matter when it arrives), the
-//! [`AnnIndex`] abstraction (so shortlist consumers like
-//! `EmbeddingStore::knn_rerank` are agnostic to whether the shortlist came
-//! from one index or a merge across many), and [`ShardedHnsw`], the static
-//! multi-shard index with deterministic merge ordering.
-
-use crate::hnsw::{Hnsw, HnswConfig};
-use rand::Rng;
-use std::cmp::Ordering;
+//! One HNSW per core is the serving layout. The sharded index itself is
+//! `tmn_serve::ShardSet`, which wraps each shard in a lock for concurrent
+//! mutation and merges the per-shard top-k. This module holds only the
+//! pure piece it needs: the [`ShardRouter`], so an id always lands on the
+//! same shard no matter when it arrives.
 
 /// SplitMix64 finalizer: a well-mixed stable hash of an id.
 #[inline]
@@ -49,174 +41,9 @@ impl ShardRouter {
     }
 }
 
-/// Anything that can produce an approximate `(id, distance)` shortlist.
-///
-/// `EmbeddingStore::knn_rerank` used to take `&Hnsw` directly, silently
-/// assuming the shortlist came from a single index; routing it through this
-/// trait lets the sharded merge path (and any future index) feed the same
-/// exact-rerank machinery.
-pub trait AnnIndex {
-    /// Vector dimensionality.
-    fn dim(&self) -> usize;
-
-    /// Indexed vector count (tombstones included).
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `k` approximate nearest neighbours under beam width `ef`, as
-    /// `(id, euclidean_distance)` ascending.
-    fn knn_ef(&self, query: &[f32], k: usize, ef: usize) -> Vec<(usize, f32)>;
-}
-
-impl AnnIndex for Hnsw {
-    fn dim(&self) -> usize {
-        Hnsw::dim(self)
-    }
-
-    fn len(&self) -> usize {
-        Hnsw::len(self)
-    }
-
-    fn knn_ef(&self, query: &[f32], k: usize, ef: usize) -> Vec<(usize, f32)> {
-        Hnsw::knn_ef(self, query, k, ef)
-    }
-}
-
-/// Merge per-shard `(id, distance)` lists into one ascending top-`k`.
-///
-/// Deterministic regardless of shard arrival order: ties on distance break
-/// on id, so the merged list is a pure function of the candidate *set* —
-/// the property the serving tests pin down as "bitwise-merge correctness".
-pub fn merge_topk(mut candidates: Vec<(usize, f32)>, k: usize) -> Vec<(usize, f32)> {
-    candidates.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    candidates.truncate(k);
-    candidates
-}
-
-/// A static sharded HNSW index over globally-numbered vectors.
-///
-/// Vectors are routed by [`ShardRouter`] on their global id; queries
-/// scatter to every shard and gather through [`merge_topk`]. Search quality
-/// per shard matches a single index of that shard's size, and the merge is
-/// exact over the per-shard shortlists — so with per-shard beam `ef`, the
-/// sharded index explores *more* total candidates than one monolithic index
-/// at equal `ef`, never fewer.
-pub struct ShardedHnsw {
-    router: ShardRouter,
-    shards: Vec<Hnsw>,
-    /// Per shard: local insertion id → global id.
-    globals: Vec<Vec<usize>>,
-    len: usize,
-}
-
-impl ShardedHnsw {
-    pub fn new(dim: usize, config: HnswConfig, shards: usize) -> ShardedHnsw {
-        Self::with_store(dim, config, shards, false)
-    }
-
-    /// Shards holding int8-quantized vectors (pair with an exact rerank).
-    pub fn new_quantized(dim: usize, config: HnswConfig, shards: usize) -> ShardedHnsw {
-        Self::with_store(dim, config, shards, true)
-    }
-
-    fn with_store(dim: usize, config: HnswConfig, shards: usize, quantized: bool) -> ShardedHnsw {
-        let router = ShardRouter::new(shards);
-        let shards = (0..shards)
-            .map(|_| {
-                if quantized {
-                    Hnsw::new_quantized(dim, config)
-                } else {
-                    Hnsw::new(dim, config)
-                }
-            })
-            .collect::<Vec<_>>();
-        let globals = vec![Vec::new(); router.shards()];
-        ShardedHnsw { router, shards, globals, len: 0 }
-    }
-
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    pub fn is_quantized(&self) -> bool {
-        self.shards[0].is_quantized()
-    }
-
-    /// Vector-storage bytes summed over shards.
-    pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.memory_bytes()).sum()
-    }
-
-    /// Per-shard vector counts (the imbalance a hashed router produces).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len()).collect()
-    }
-
-    /// Pre-size every shard for a bulk load of `additional` vectors,
-    /// assuming the router spreads them evenly (plus slack for the hashing
-    /// imbalance it actually produces).
-    pub fn reserve(&mut self, additional: usize) {
-        let per_shard = additional.div_ceil(self.shards.len());
-        let slack = per_shard / 4 + 1;
-        for (shard, globals) in self.shards.iter_mut().zip(&mut self.globals) {
-            shard.reserve(per_shard + slack);
-            globals.reserve(per_shard + slack);
-        }
-    }
-
-    /// Insert a vector under a caller-chosen global id (ids must be unique;
-    /// the routing is a pure function of the id).
-    pub fn insert(&mut self, global_id: usize, v: &[f32], rng: &mut impl Rng) {
-        let s = self.router.shard_of(global_id as u64);
-        let local = self.shards[s].insert(v, rng);
-        debug_assert_eq!(local, self.globals[s].len());
-        self.globals[s].push(global_id);
-        self.len += 1;
-    }
-}
-
-impl AnnIndex for ShardedHnsw {
-    fn dim(&self) -> usize {
-        self.shards[0].dim()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Scatter the query to every shard at full beam width, map local ids
-    /// back to global, and gather the best `k` via [`merge_topk`].
-    fn knn_ef(&self, query: &[f32], k: usize, ef: usize) -> Vec<(usize, f32)> {
-        let mut candidates = Vec::new();
-        for (shard, globals) in self.shards.iter().zip(&self.globals) {
-            for (local, d) in shard.knn_ef(query, k, ef) {
-                candidates.push((globals[local], d));
-            }
-        }
-        merge_topk(candidates, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn grid_vectors(n: usize, dim: usize) -> Vec<Vec<f32>> {
-        (0..n)
-            .map(|i| (0..dim).map(|d| ((i * (d + 3) * 31) % 97) as f32 / 97.0).collect())
-            .collect()
-    }
 
     #[test]
     fn router_is_stable_and_total() {
@@ -230,55 +57,5 @@ mod tests {
         }
         // A decent hash spreads 1000 ids roughly evenly over 4 shards.
         assert!(seen.iter().all(|&c| c > 150), "router too imbalanced: {seen:?}");
-    }
-
-    #[test]
-    fn sharded_matches_brute_force_on_small_data() {
-        let dim = 6;
-        let pts = grid_vectors(300, dim);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut idx = ShardedHnsw::new(dim, HnswConfig { m: 12, ef_construction: 120, ef_search: 80 }, 3);
-        for (i, p) in pts.iter().enumerate() {
-            idx.insert(i, p, &mut rng);
-        }
-        assert_eq!(idx.len(), 300);
-        assert_eq!(idx.shard_lens().iter().sum::<usize>(), 300);
-
-        let q: Vec<f32> = (0..dim).map(|d| 0.1 * d as f32).collect();
-        let got: Vec<usize> = idx.knn_ef(&q, 10, 80).into_iter().map(|(i, _)| i).collect();
-        let mut want: Vec<usize> = (0..pts.len()).collect();
-        want.sort_by(|&a, &b| {
-            let da: f32 = q.iter().zip(&pts[a]).map(|(x, y)| (x - y) * (x - y)).sum();
-            let db: f32 = q.iter().zip(&pts[b]).map(|(x, y)| (x - y) * (x - y)).sum();
-            da.partial_cmp(&db).unwrap().then(a.cmp(&b))
-        });
-        let hits = got.iter().filter(|i| want[..10].contains(i)).count();
-        assert!(hits >= 9, "sharded recall too low: {hits}/10");
-    }
-
-    #[test]
-    fn merge_is_order_independent_and_tie_broken_by_id() {
-        let a = vec![(3usize, 1.0f32), (1, 0.5), (7, 2.0)];
-        let b = vec![(2usize, 0.5f32), (9, 1.5)];
-        let mut ab = a.clone();
-        ab.extend(&b);
-        let mut ba = b.clone();
-        ba.extend(&a);
-        let m1 = merge_topk(ab, 3);
-        let m2 = merge_topk(ba, 3);
-        assert_eq!(m1, m2, "merge must not depend on shard arrival order");
-        assert_eq!(m1, vec![(1, 0.5), (2, 0.5), (3, 1.0)], "ties break on id");
-    }
-
-    #[test]
-    fn quantized_shards_report_quantized_storage() {
-        let dim = 8;
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut idx = ShardedHnsw::new_quantized(dim, HnswConfig::default(), 2);
-        for (i, p) in grid_vectors(50, dim).iter().enumerate() {
-            idx.insert(i, p, &mut rng);
-        }
-        assert!(idx.is_quantized());
-        assert_eq!(idx.memory_bytes(), 50 * (dim + 2));
     }
 }

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
-use tmn_eval::embedding_distance;
+use tmn_eval::{embedding_distance, merge_topk};
 use tmn_index::{Hnsw, HnswConfig, ShardRouter};
 use tmn_obs::metrics;
 use tmn_obs::trace;
@@ -142,16 +142,6 @@ fn new_hnsw(dim: usize, cfg: &ShardSetConfig) -> Hnsw {
     } else {
         Hnsw::new(dim, cfg.hnsw)
     }
-}
-
-/// Merge exact-distance candidates into one ascending top-`k`;
-/// deterministic (distance then id) regardless of shard arrival order.
-fn merge_topk64(mut candidates: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
-    candidates.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    candidates.truncate(k);
-    candidates
 }
 
 /// Status of one shard at snapshot time.
@@ -396,7 +386,7 @@ impl ShardSet {
         }
         let merged = {
             let _merge = trace::span("serve.merge").attr("candidates", candidates.len() as u64);
-            merge_topk64(candidates, k)
+            merge_topk(candidates, k)
         };
         drop(search_span);
         let total_ns = t_rank.elapsed().as_nanos() as u64;
@@ -424,7 +414,7 @@ impl ShardSet {
             candidates
                 .extend(inner.vecs.iter().map(|(&id, v)| (id, embedding_distance(q, v))));
         }
-        Ok(merge_topk64(candidates, k))
+        Ok(merge_topk(candidates, k))
     }
 
     /// Force-compact one shard (rebuild from live vectors, dropping every
@@ -551,15 +541,33 @@ mod tests {
 
     #[test]
     fn exact_query_merges_across_shards_bitwise() {
-        let set = small_set(60, 4);
-        let q = vec_for(999, 4);
-        // Oracle over the same live vectors, computed independently.
-        let mut oracle: Vec<(u64, f64)> = (0..60)
-            .map(|id| (id, embedding_distance(&q, &vec_for(id, 4))))
-            .collect();
-        oracle.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        oracle.truncate(10);
-        assert_eq!(set.query_exact(&q, 10).unwrap(), oracle);
+        // (ids, shards, queries). The second input is a top-k whose true
+        // members straddle two shards; its shortlist covers every shard, so
+        // the approximate path must merge to the same list as the oracle.
+        for (n, shards, queries) in [(60u64, 4usize, 1u64), (400, 2, 40)] {
+            let set = ShardSet::new(4, ShardSetConfig { shards, shortlist: 400, ..Default::default() });
+            for id in 0..n {
+                set.insert(id, &vec_for(id, 4)).unwrap();
+            }
+            let mut straddling = 0;
+            for qi in 0..queries {
+                let q = vec_for(999 + qi, 4);
+                // Oracle over the same live vectors, computed independently.
+                let mut oracle: Vec<(u64, f64)> = (0..n)
+                    .map(|id| (id, embedding_distance(&q, &vec_for(id, 4))))
+                    .collect();
+                oracle.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+                oracle.truncate(10);
+                assert_eq!(set.query_exact(&q, 10).unwrap(), oracle);
+                assert_eq!(set.query(&q, 10).unwrap(), oracle, "query {qi} on {shards} shards");
+                let first = set.shard_of(oracle[0].0);
+                straddling += usize::from(oracle.iter().any(|&(id, _)| set.shard_of(id) != first));
+            }
+            assert!(
+                straddling * 4 >= queries as usize * 3,
+                "input vacuous: {straddling}/{queries} top-k lists span several shards"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! single-bit flip of a valid file must be rejected (walked exhaustively).
 
 use proptest::prelude::*;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tmn_store::{
     write_corpus, AlignedBytes, BlockedDistanceMatrix, CorpusView, EmbeddingsView, EmbeddingsWriter,
     StoreError,
@@ -12,10 +14,18 @@ use tmn_store::{
 use tmn_traj::metrics::{Metric, MetricParams};
 use tmn_traj::{Point, Trajectory};
 
-fn tmpdir() -> std::path::PathBuf {
+/// The bytes `write` leaves at a fresh path. Tests run concurrently and
+/// rebuild their fixtures per call, so a shared name would let one test read
+/// another's half-written file; a per-call counter keeps the paths apart.
+fn file_image(name: &str, write: impl FnOnce(&Path)) -> Vec<u8> {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!("tmn-store-fuzz-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    let p = dir.join(format!("{}-{name}", CALLS.fetch_add(1, Ordering::Relaxed)));
+    write(&p);
+    let bytes = std::fs::read(&p).unwrap();
+    std::fs::remove_file(&p).unwrap();
+    bytes
 }
 
 fn trajs(n: usize) -> Vec<Trajectory> {
@@ -30,28 +40,26 @@ fn trajs(n: usize) -> Vec<Trajectory> {
 
 /// A small but fully populated corpus file image.
 fn corpus_bytes() -> Vec<u8> {
-    let p = tmpdir().join("fuzz-corpus.tmns");
-    write_corpus(&p, &trajs(7)).unwrap();
-    std::fs::read(&p).unwrap()
+    file_image("fuzz-corpus.tmns", |p| write_corpus(p, &trajs(7)).unwrap())
 }
 
 /// A small embeddings file image.
 fn embeddings_bytes() -> Vec<u8> {
-    let p = tmpdir().join("fuzz-emb.tmns");
-    let mut w = EmbeddingsWriter::create(&p, 3).unwrap();
-    for i in 0..11 {
-        w.push(&[i as f32, -0.5 * i as f32, 2.0]).unwrap();
-    }
-    w.finish().unwrap();
-    std::fs::read(&p).unwrap()
+    file_image("fuzz-emb.tmns", |p| {
+        let mut w = EmbeddingsWriter::create(p, 3).unwrap();
+        for i in 0..11 {
+            w.push(&[i as f32, -0.5 * i as f32, 2.0]).unwrap();
+        }
+        w.finish().unwrap();
+    })
 }
 
 /// A small tiled ground-truth file image (ragged edge: n=10, tile=4).
 fn tiles_bytes() -> Vec<u8> {
-    let p = tmpdir().join("fuzz-tiles.tmns");
-    BlockedDistanceMatrix::compute(&p, &trajs(10), Metric::Dtw, &MetricParams::default(), 2, 4)
-        .unwrap();
-    std::fs::read(&p).unwrap()
+    file_image("fuzz-tiles.tmns", |p| {
+        BlockedDistanceMatrix::compute(p, &trajs(10), Metric::Dtw, &MetricParams::default(), 2, 4)
+            .unwrap();
+    })
 }
 
 /// Structural parse + full payload CRC for each decoder, against an

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: release build, full test suite, zero-warning clippy.
+# CI gate: release build (workspace and benchmark), full test suite at
+# default and serial parallelism, zero-warning clippy.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,8 +8,18 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release --workspace
 
-echo "== test =="
+echo "== build (benchmark) =="
+# perfbench is a workspace of its own, so the workspace build above does not
+# compile it; build it here so a removed public API it uses fails CI.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== test (default parallelism) =="
 cargo test -q --workspace
+
+echo "== test (--test-threads=1) =="
+# Serial and parallel runs order tests differently; both must pass, so a
+# shared fixture or process global that one order hides still fails CI.
+cargo test -q --workspace -- --test-threads=1
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -11,7 +11,9 @@
 //!
 //! `train` writes `<out>.meta.json` (model kind, dimension, metric,
 //! normalizer, split ratio) and `<out>.weights` (binary checkpoint); the
-//! other commands read both.
+//! other commands read both. `encode` writes the test partition's
+//! embeddings as a CRC-framed TMNS file that `EmbeddingStore::open_mmap`
+//! maps back zero-copy.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -160,10 +162,10 @@ fn cmd_encode(flags: &HashMap<String, String>) -> Result<(), String> {
             .into());
     }
     let test = test_partition(&meta, load_data(flags)?);
-    let out = flags.get("out").ok_or("--out <file.emb> is required")?;
+    let out = flags.get("out").ok_or("--out <file.tmns> is required")?;
     let embeddings = encode_all(model.as_ref(), &test, 64);
     let store = tmn::eval::EmbeddingStore::from_vectors(&embeddings);
-    std::fs::write(out, store.to_bytes()).map_err(|e| e.to_string())?;
+    store.save(std::path::Path::new(out)).map_err(|e| e.to_string())?;
     println!("encoded {} trajectories (d={}) into {out}", store.len(), store.dim());
     Ok(())
 }
@@ -204,7 +206,7 @@ const USAGE: &str = "usage: tmn-cli <generate|train|encode|search|eval> [--flags
   train    --data data.csv --metric dtw|frechet|hausdorff|erp|edr|lcss
            --model tmn|tmn-nm|srn|neutraj|t3s|traj2simvec
            [--dim 32] [--epochs 8] [--seed 42] [--train-ratio 0.2] --out model
-  encode   --data data.csv --model model --out embeddings.emb
+  encode   --data data.csv --model model --out embeddings.tmns
   search   --data data.csv --model model [--query 0] [--k 10]
   eval     --data data.csv --model model [--queries 50]";
 
