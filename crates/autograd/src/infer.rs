@@ -1,13 +1,15 @@
-//! Tape-free inference fast path: forward-only kernels over plain
-//! `Vec<f32>` buffers.
+//! Tape-free forward kernels over plain `Vec<f32>` buffers: what the
+//! [`crate::exec::NoGrad`] executor runs.
 //!
 //! Serving only needs the forward pass, yet the graphed path pays for every
 //! query what only training needs: one `Rc` graph node per op, a boxed
-//! backward closure, and a fresh output allocation each. This module
-//! re-implements the model forwards with **zero tensor construction**
+//! backward closure, and a fresh output allocation each. These kernels
+//! compute the same layer forwards with **zero tensor construction**
 //! (`crate::nodes_created` is constant across a call) and **bounded buffer
-//! allocation** (a thread-local scratch pool; after warmup a whole
-//! `embed_nograd` call performs at most the one output allocation).
+//! allocation** (a thread-local scratch pool; after warmup a whole no-grad
+//! embed performs at most the one output allocation). Models never call
+//! them directly: they write one forward over [`crate::exec::Exec`], and
+//! the `NoGrad` executor dispatches here.
 //!
 //! ## Numerical contract
 //!
@@ -21,7 +23,11 @@
 //! - elementwise code copies the graphed ops' exact expressions (operation
 //!   order included).
 //!
-//! `tests/infer_vs_train_forward.rs` holds the line.
+//! `tests/infer_vs_train_forward.rs` holds the line. The sequence kernels
+//! ([`lstm_seq`], [`gru_seq`]) take the caller's cell state, so the
+//! streaming path is the same kernel run one step at a time from a carried
+//! state; `kernels::mm_nn`'s row-stable dispatch keeps that bitwise equal
+//! to a full run (`tests/stream_parity.rs`).
 //!
 //! ## Buffer reuse contract
 //!
@@ -130,8 +136,18 @@ pub struct GruWeights<'a> {
 
 /// Time-major gate pre-projection (`ops::rnn_gate_preproject` without the
 /// node): rent `[T·B, G]` seeded with the broadcast bias, accumulate
-/// `xt · w` on top. `xs` is `[B, m, d_in]` batch-major.
+/// `xt · w` on top. `xs` is `[B, m, d_in]` batch-major; with one row per
+/// step or one step (`B = 1` or `m = 1`, e.g. a stream append) that is
+/// already time-major and is used as is.
 fn preproject(xs: &[f32], bs: usize, m: usize, d_in: usize, w: &[f32], bias: &[f32], g: usize) -> Vec<f32> {
+    let mut pre = take(m * bs * g);
+    for row in pre.chunks_exact_mut(g) {
+        row.copy_from_slice(bias);
+    }
+    if bs == 1 || m == 1 {
+        mm_nn(&xs[..m * bs * d_in], w, m * bs, d_in, g, &mut pre);
+        return pre;
+    }
     let mut xt = take(m * bs * d_in);
     for b in 0..bs {
         for t in 0..m {
@@ -139,10 +155,6 @@ fn preproject(xs: &[f32], bs: usize, m: usize, d_in: usize, w: &[f32], bias: &[f
             let dst = (t * bs + b) * d_in;
             xt[dst..dst + d_in].copy_from_slice(&xs[src..src + d_in]);
         }
-    }
-    let mut pre = take(m * bs * g);
-    for row in pre.chunks_exact_mut(g) {
-        row.copy_from_slice(bias);
     }
     mm_nn(&xt, w, m * bs, d_in, g, &mut pre);
     recycle(xt);
@@ -159,29 +171,39 @@ fn pack_cols_into(src: &[f32], bs: usize, s: usize, take_cols: usize, dst: &mut 
 
 /// No-grad LSTM over a full sequence: `[B, m, d_in]` → `[B, m, h]`
 /// (rented buffer — recycle it). Matches `nn::Lstm::forward_seq` bitwise.
-pub fn lstm_seq(xs: &[f32], bs: usize, m: usize, d_in: usize, h: usize, w: &LstmWeights<'_>) -> Vec<f32> {
+///
+/// `state` is the caller's `[B, 7h]` cell stash in the fused cell's layout
+/// `[h | c | i | f | g | o | tanh(c)]`: zeros start a sequence, and on
+/// return it holds the state after step `m`, so a later call continues the
+/// same sequence (the streaming path runs this with `m = 1`).
+pub fn lstm_seq(
+    xs: &[f32],
+    bs: usize,
+    m: usize,
+    d_in: usize,
+    h: usize,
+    w: &LstmWeights<'_>,
+    state: &mut [f32],
+) -> Vec<f32> {
+    assert_eq!(state.len(), bs * 7 * h, "lstm_seq: state must be [B, 7h]");
     let pre = preproject(xs, bs, m, d_in, w.w_ih, w.bias, 4 * h);
-    // State carries the full [B, 7h] stash layout like the graphed cell; at
-    // t = 0 its [h | c] columns are the zero initial state.
-    let mut state = take(bs * 7 * h);
     let mut hp = take(bs * h);
     let mut cp = take(bs * h);
     let mut z = take(bs * 4 * h);
     let mut out = take(bs * m * h);
     for t in 0..m {
-        pack_cols_into(&state, bs, 7 * h, h, &mut hp);
+        pack_cols_into(state, bs, 7 * h, h, &mut hp);
         for b in 0..bs {
             cp[b * h..(b + 1) * h].copy_from_slice(&state[b * 7 * h + h..b * 7 * h + 2 * h]);
         }
         z.copy_from_slice(&pre[t * bs * 4 * h..(t + 1) * bs * 4 * h]);
         mm_nn(&hp, w.w_hh, bs, h, 4 * h, &mut z);
-        lstm_step_elementwise(&z, &cp, bs, h, &mut state);
+        lstm_step_elementwise(&z, &cp, bs, h, state);
         for b in 0..bs {
             out[(b * m + t) * h..(b * m + t + 1) * h].copy_from_slice(&state[b * 7 * h..b * 7 * h + h]);
         }
     }
     recycle(pre);
-    recycle(state);
     recycle(hp);
     recycle(cp);
     recycle(z);
@@ -189,244 +211,42 @@ pub fn lstm_seq(xs: &[f32], bs: usize, m: usize, d_in: usize, h: usize, w: &Lstm
 }
 
 /// No-grad GRU over a full sequence: `[B, m, d_in]` → `[B, m, h]`
-/// (rented buffer). Matches `nn::Gru::forward_seq` bitwise.
-pub fn gru_seq(xs: &[f32], bs: usize, m: usize, d_in: usize, h: usize, w: &GruWeights<'_>) -> Vec<f32> {
+/// (rented buffer). Matches `nn::Gru::forward_seq` bitwise. `state` is the
+/// caller's `[B, 5h]` stash `[h | r | z | n | q]`, carried as in
+/// [`lstm_seq`].
+pub fn gru_seq(
+    xs: &[f32],
+    bs: usize,
+    m: usize,
+    d_in: usize,
+    h: usize,
+    w: &GruWeights<'_>,
+    state: &mut [f32],
+) -> Vec<f32> {
+    assert_eq!(state.len(), bs * 5 * h, "gru_seq: state must be [B, 5h]");
     let pre_rz = preproject(xs, bs, m, d_in, w.w_ih, w.bias, 2 * h);
     let pre_n = preproject(xs, bs, m, d_in, w.w_in, w.bias_n, h);
-    let mut state = take(bs * 5 * h);
     let mut hp = take(bs * h);
     let mut zr = take(bs * 2 * h);
     let mut q = take(bs * h);
     let mut out = take(bs * m * h);
     for t in 0..m {
-        pack_cols_into(&state, bs, 5 * h, h, &mut hp);
+        pack_cols_into(state, bs, 5 * h, h, &mut hp);
         zr.copy_from_slice(&pre_rz[t * bs * 2 * h..(t + 1) * bs * 2 * h]);
         mm_nn(&hp, w.w_hh, bs, h, 2 * h, &mut zr);
         q.fill(0.0);
         mm_nn(&hp, w.w_hn, bs, h, h, &mut q);
         let pn_t = &pre_n[t * bs * h..(t + 1) * bs * h];
-        gru_step_elementwise(&zr, &q, pn_t, &hp, bs, h, &mut state);
+        gru_step_elementwise(&zr, &q, pn_t, &hp, bs, h, state);
         for b in 0..bs {
             out[(b * m + t) * h..(b * m + t + 1) * h].copy_from_slice(&state[b * 5 * h..b * 5 * h + h]);
         }
     }
     recycle(pre_rz);
     recycle(pre_n);
-    recycle(state);
     recycle(hp);
     recycle(zr);
     recycle(q);
-    out
-}
-
-/// No-grad bidirectional LSTM: forward pass on `xs`, backward pass on the
-/// time-reversed sequence, hidden states concatenated per step →
-/// `[B, m, 2h]` (rented buffer). Matches `nn::BiLstm::forward_seq` bitwise.
-pub fn bilstm_seq(
-    xs: &[f32],
-    bs: usize,
-    m: usize,
-    d_in: usize,
-    h: usize,
-    fwd: &LstmWeights<'_>,
-    bwd: &LstmWeights<'_>,
-) -> Vec<f32> {
-    let f_out = lstm_seq(xs, bs, m, d_in, h, fwd);
-    let xr = reverse_time(xs, bs, m, d_in);
-    let b_out = lstm_seq(&xr, bs, m, d_in, h, bwd);
-    recycle(xr);
-    let mut out = take(bs * m * 2 * h);
-    for b in 0..bs {
-        for t in 0..m {
-            let dst = (b * m + t) * 2 * h;
-            out[dst..dst + h].copy_from_slice(&f_out[(b * m + t) * h..(b * m + t + 1) * h]);
-            // The backward direction's step t is the reversed sequence's
-            // step m-1-t (the graphed path's outer `reverse_time`).
-            let src = (b * m + (m - 1 - t)) * h;
-            out[dst + h..dst + 2 * h].copy_from_slice(&b_out[src..src + h]);
-        }
-    }
-    recycle(f_out);
-    recycle(b_out);
-    out
-}
-
-/// Resumable recurrent state for the **streaming** inference path: one
-/// live (bs = 1) sequence whose points arrive one at a time.
-///
-/// Appending a point costs exactly one gate-preprojection row plus one
-/// fused-cell elementwise step — and, because [`mm_nn`]'s dispatch is
-/// row-stable (`kernels::ROW_STABLE_MIN_KN`), the hidden state after `N`
-/// appends is **bitwise equal** to running [`lstm_seq`] / [`gru_seq`] /
-/// [`bilstm_seq`] over the full `N`-point sequence.
-///
-/// The state owns its stash buffer (it outlives any single call and
-/// travels across threads); per-step scratch still comes from the pool, so
-/// a warm step allocates nothing.
-pub enum RnnStream {
-    Lstm(LstmStream),
-    Gru(GruStream),
-    BiLstm(BiLstmStream),
-}
-
-impl RnnStream {
-    /// Number of points stepped into this stream so far.
-    pub fn len(&self) -> usize {
-        match self {
-            RnnStream::Lstm(s) => s.steps,
-            RnnStream::Gru(s) => s.steps,
-            RnnStream::BiLstm(s) => s.fwd.steps,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Streaming LSTM state: the `[7h]` fused-cell stash
-/// (`[h | c | i | f | g | o | tanh(c)]`), zero-initialized like
-/// [`lstm_seq`]'s `t = 0` state.
-pub struct LstmStream {
-    stash: Vec<f32>,
-    h: usize,
-    steps: usize,
-}
-
-impl LstmStream {
-    pub fn new(h: usize) -> LstmStream {
-        LstmStream { stash: vec![0.0; 7 * h], h, steps: 0 }
-    }
-
-    /// The current hidden state `[h]` (all zeros before the first step).
-    pub fn hidden(&self) -> &[f32] {
-        &self.stash[..self.h]
-    }
-}
-
-/// Streaming GRU state: the `[5h]` fused-cell stash
-/// (`[h | r | z | n | q]`).
-pub struct GruStream {
-    stash: Vec<f32>,
-    h: usize,
-    steps: usize,
-}
-
-impl GruStream {
-    pub fn new(h: usize) -> GruStream {
-        GruStream { stash: vec![0.0; 5 * h], h, steps: 0 }
-    }
-
-    pub fn hidden(&self) -> &[f32] {
-        &self.stash[..self.h]
-    }
-}
-
-/// Streaming BiLstm state. Only the forward direction carries incremental
-/// state; see [`bilstm_stream_step`] for the backward-direction contract.
-pub struct BiLstmStream {
-    fwd: LstmStream,
-}
-
-impl BiLstmStream {
-    pub fn new(h: usize) -> BiLstmStream {
-        BiLstmStream { fwd: LstmStream::new(h) }
-    }
-}
-
-/// One fused LSTM cell step over a caller-owned `[7h]` stash: mirrors one
-/// iteration of [`lstm_seq`]'s loop at `bs = 1` (same kernels, same op
-/// order, bitwise). Writes the new hidden row into `out` (`[h]`).
-fn lstm_cell_step(stash: &mut [f32], x: &[f32], d_in: usize, h: usize, w: &LstmWeights<'_>, out: &mut [f32]) {
-    debug_assert!(x.len() == d_in && stash.len() == 7 * h && out.len() == h);
-    let mut hp = take(h);
-    let mut cp = take(h);
-    let mut z = take(4 * h);
-    hp.copy_from_slice(&stash[..h]);
-    cp.copy_from_slice(&stash[h..2 * h]);
-    // z = bias + x·w_ih: the streaming slice of `preproject` (row-stable
-    // GEMM ⇒ bitwise equal to row t of the full [T·B, 4h] pre-projection).
-    z.copy_from_slice(w.bias);
-    mm_nn(x, w.w_ih, 1, d_in, 4 * h, &mut z);
-    mm_nn(&hp, w.w_hh, 1, h, 4 * h, &mut z);
-    lstm_step_elementwise(&z, &cp, 1, h, stash);
-    out.copy_from_slice(&stash[..h]);
-    recycle(hp);
-    recycle(cp);
-    recycle(z);
-}
-
-/// Advance a streaming LSTM by one input row `x` (`[d_in]`); writes the new
-/// hidden state into `out` (`[h]`). After `N` calls, `out` is bitwise equal
-/// to the last row of [`lstm_seq`] over the same `N` inputs.
-pub fn lstm_stream_step(s: &mut LstmStream, x: &[f32], d_in: usize, w: &LstmWeights<'_>, out: &mut [f32]) {
-    let h = s.h;
-    lstm_cell_step(&mut s.stash, x, d_in, h, w, out);
-    s.steps += 1;
-}
-
-/// Advance a streaming GRU by one input row; bitwise contract as
-/// [`lstm_stream_step`], mirroring [`gru_seq`]'s loop at `bs = 1`.
-pub fn gru_stream_step(s: &mut GruStream, x: &[f32], d_in: usize, w: &GruWeights<'_>, out: &mut [f32]) {
-    let h = s.h;
-    debug_assert!(x.len() == d_in && out.len() == h);
-    let mut hp = take(h);
-    hp.copy_from_slice(&s.stash[..h]);
-    let mut zr = take(2 * h);
-    zr.copy_from_slice(w.bias);
-    mm_nn(x, w.w_ih, 1, d_in, 2 * h, &mut zr);
-    mm_nn(&hp, w.w_hh, 1, h, 2 * h, &mut zr);
-    let mut q = take(h); // zero-filled rental = gru_seq's q.fill(0.0)
-    mm_nn(&hp, w.w_hn, 1, h, h, &mut q);
-    let mut pn = take(h);
-    pn.copy_from_slice(w.bias_n);
-    mm_nn(x, w.w_in, 1, d_in, h, &mut pn);
-    gru_step_elementwise(&zr, &q, &pn, &hp, 1, h, &mut s.stash);
-    out.copy_from_slice(&s.stash[..h]);
-    recycle(hp);
-    recycle(zr);
-    recycle(q);
-    recycle(pn);
-    s.steps += 1;
-}
-
-/// Advance a streaming BiLstm by one input row; writes the **newest output
-/// row** `[2h]` (forward ⊕ backward halves).
-///
-/// The forward half steps incrementally. The backward half of the newest
-/// row is, by construction, the backward LSTM's *first* step over the
-/// time-reversed sequence — one cell step on `x` from zero state, so the
-/// newest row is still O(1) per append. Backward halves of **earlier**
-/// rows see the future and change on every append; they are not maintained
-/// here — a caller needing the full `[m, 2h]` matrix must re-run
-/// [`bilstm_seq`] over the stored inputs (the documented O(m) re-scan).
-pub fn bilstm_stream_step(
-    s: &mut BiLstmStream,
-    x: &[f32],
-    d_in: usize,
-    fwd: &LstmWeights<'_>,
-    bwd: &LstmWeights<'_>,
-    out: &mut [f32],
-) {
-    let h = s.fwd.h;
-    debug_assert_eq!(out.len(), 2 * h);
-    lstm_stream_step(&mut s.fwd, x, d_in, fwd, &mut out[..h]);
-    // Fresh zero stash from the pool: the backward direction's step 0.
-    let mut bstash = take(7 * h);
-    lstm_cell_step(&mut bstash, x, d_in, h, bwd, &mut out[h..]);
-    recycle(bstash);
-}
-
-/// `out[b, t, :] = xs[b, m-1-t, :]` (rented buffer).
-pub fn reverse_time(xs: &[f32], bs: usize, m: usize, d: usize) -> Vec<f32> {
-    let mut out = take(bs * m * d);
-    for b in 0..bs {
-        for t in 0..m {
-            let src = (b * m + (m - 1 - t)) * d;
-            let dst = (b * m + t) * d;
-            out[dst..dst + d].copy_from_slice(&xs[src..src + d]);
-        }
-    }
     out
 }
 
@@ -499,30 +319,6 @@ pub fn concat_cols(a: &[f32], b: &[f32], rows: usize, da: usize, db: usize) -> V
     out
 }
 
-/// TMN's cross-trajectory matching matrix (`core::models::tmn`), no-grad:
-/// softmax-attend `x_q` over `x_k` (keys masked), subtract the attended
-/// summary from `x_q`, zero padded query rows. All `[B, m, dh]`; masks are
-/// `[B, m]`. Returns a rented buffer.
-pub fn matching_matrix(
-    x_q: &[f32],
-    x_k: &[f32],
-    q_mask: &[f32],
-    k_mask: &[f32],
-    bs: usize,
-    m: usize,
-    dh: usize,
-) -> Vec<f32> {
-    let mut scores = bmm_nt(x_q, x_k, bs, m, dh, m);
-    masked_softmax_inplace(&mut scores, k_mask, bs, m, m);
-    let mut s = bmm_nn(&scores, x_k, bs, m, m, dh);
-    recycle(scores);
-    for (sv, &qv) in s.iter_mut().zip(x_q) {
-        *sv = qv - *sv;
-    }
-    mask_rows_inplace(&mut s, q_mask, bs, m, dh);
-    s
-}
-
 /// Gather each sequence's last valid step: `[B, m, d]` + per-batch index →
 /// `[B, d]`. This is the one **fresh** allocation of an `embed_nograd`
 /// call — everything upstream lives in the pool.
@@ -571,16 +367,12 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_reverse_layouts() {
+    fn concat_layout() {
         let a = [1.0, 2.0, 3.0, 4.0]; // [2, 2]
         let b = [9.0, 8.0]; // [2, 1]
         let cat = concat_cols(&a, &b, 2, 2, 1);
         assert_eq!(cat, vec![1.0, 2.0, 9.0, 3.0, 4.0, 8.0]);
         recycle(cat);
-        // [1, 3, 1]: reversing swaps the time rows.
-        let r = reverse_time(&[1.0, 2.0, 3.0], 1, 3, 1);
-        assert_eq!(r, vec![3.0, 2.0, 1.0]);
-        recycle(r);
     }
 
     #[test]

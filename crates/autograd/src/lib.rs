@@ -32,6 +32,7 @@
 //! assert!((w.to_vec()[0] - 2.0).abs() < 1e-2);
 //! ```
 
+pub mod exec;
 pub mod infer;
 pub mod kernels;
 pub mod nn;

@@ -103,7 +103,11 @@ impl Recurrent for Gru {
         ops::collect_states(&states, h)
     }
 
-    fn forward_seq_nograd(&self, xs: &[f32], bs: usize, m: usize) -> Vec<f32> {
+    fn stash_dim(&self) -> usize {
+        5 * self.hidden
+    }
+
+    fn forward_seq_nograd(&self, xs: &[f32], bs: usize, m: usize, state: &mut [f32]) -> Vec<f32> {
         let (wi, wh, bd) = (self.w_ih.data(), self.w_hh.data(), self.bias.data());
         let (wn, whn, bn) = (self.w_in.data(), self.w_hn.data(), self.bias_n.data());
         let w = crate::infer::GruWeights {
@@ -114,28 +118,7 @@ impl Recurrent for Gru {
             w_hn: &whn,
             bias_n: &bn,
         };
-        crate::infer::gru_seq(xs, bs, m, self.input_dim, self.hidden, &w)
-    }
-
-    fn stream_begin(&self) -> crate::infer::RnnStream {
-        crate::infer::RnnStream::Gru(crate::infer::GruStream::new(self.hidden))
-    }
-
-    fn stream_step(&self, s: &mut crate::infer::RnnStream, x: &[f32], out: &mut [f32]) {
-        let crate::infer::RnnStream::Gru(s) = s else {
-            panic!("Gru::stream_step: stream state from a different backbone");
-        };
-        let (wi, wh, bd) = (self.w_ih.data(), self.w_hh.data(), self.bias.data());
-        let (wn, whn, bn) = (self.w_in.data(), self.w_hn.data(), self.bias_n.data());
-        let w = crate::infer::GruWeights {
-            w_ih: &wi,
-            w_hh: &wh,
-            bias: &bd,
-            w_in: &wn,
-            w_hn: &whn,
-            bias_n: &bn,
-        };
-        crate::infer::gru_stream_step(s, x, self.input_dim, &w, out);
+        crate::infer::gru_seq(xs, bs, m, self.input_dim, self.hidden, &w, state)
     }
 }
 

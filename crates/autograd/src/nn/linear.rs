@@ -41,14 +41,6 @@ impl Linear {
         self.out_dim
     }
 
-    /// Tape-free [`Linear::forward`] over a plain `[rows, in]` buffer;
-    /// returns a rented `[rows, out]` buffer (recycle via
-    /// [`crate::infer::recycle`]). Matches the graphed forward bitwise.
-    pub fn forward_nograd(&self, x: &[f32], rows: usize) -> Vec<f32> {
-        let (wd, bd) = (self.weight.data(), self.bias.data());
-        crate::infer::linear(x, rows, self.in_dim, self.out_dim, &wd, &bd)
-    }
-
     /// Apply to `[B, in]` (rank 2) or `[B, m, in]` (rank 3, flattened
     /// internally) inputs.
     pub fn forward(&self, x: &Tensor) -> Tensor {

@@ -103,23 +103,14 @@ impl super::rnn::Recurrent for Lstm {
         self.forward_seq_impl(xs)
     }
 
-    fn forward_seq_nograd(&self, xs: &[f32], bs: usize, m: usize) -> Vec<f32> {
-        let (wi, wh, bd) = (self.w_ih.data(), self.w_hh.data(), self.bias.data());
-        let w = crate::infer::LstmWeights { w_ih: &wi, w_hh: &wh, bias: &bd };
-        crate::infer::lstm_seq(xs, bs, m, self.input_dim, self.hidden, &w)
+    fn stash_dim(&self) -> usize {
+        7 * self.hidden
     }
 
-    fn stream_begin(&self) -> crate::infer::RnnStream {
-        crate::infer::RnnStream::Lstm(crate::infer::LstmStream::new(self.hidden))
-    }
-
-    fn stream_step(&self, s: &mut crate::infer::RnnStream, x: &[f32], out: &mut [f32]) {
-        let crate::infer::RnnStream::Lstm(s) = s else {
-            panic!("Lstm::stream_step: stream state from a different backbone");
-        };
+    fn forward_seq_nograd(&self, xs: &[f32], bs: usize, m: usize, state: &mut [f32]) -> Vec<f32> {
         let (wi, wh, bd) = (self.w_ih.data(), self.w_hh.data(), self.bias.data());
         let w = crate::infer::LstmWeights { w_ih: &wi, w_hh: &wh, bias: &bd };
-        crate::infer::lstm_stream_step(s, x, self.input_dim, &w, out);
+        crate::infer::lstm_seq(xs, bs, m, self.input_dim, self.hidden, &w, state)
     }
 }
 

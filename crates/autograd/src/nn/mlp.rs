@@ -2,7 +2,7 @@
 
 use super::linear::Linear;
 use super::params::ParamSet;
-use crate::{ops, Tensor};
+use crate::exec::Exec;
 use rand::Rng;
 
 /// A stack of [`Linear`] layers; LeakyReLU between layers, linear output.
@@ -22,13 +22,14 @@ impl Mlp {
         Mlp { layers }
     }
 
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
+    /// The forward over any executor (graphed or tape-free).
+    pub fn run<E: Exec>(&self, e: &mut E, x: E::V) -> E::V {
+        let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
+            h = e.linear(layer, &h);
             if i != last {
-                h = ops::leaky_relu(&h);
+                h = e.leaky_relu(h);
             }
         }
         h
@@ -43,30 +44,13 @@ impl Mlp {
     pub fn layers(&self) -> &[Linear] {
         &self.layers
     }
-
-    /// Tape-free [`Mlp::forward`] over a plain `[rows, in]` buffer; returns
-    /// a rented `[rows, out]` buffer (recycle via [`crate::infer::recycle`]).
-    pub fn forward_nograd(&self, x: &[f32], rows: usize) -> Vec<f32> {
-        let last = self.layers.len() - 1;
-        let mut h: Option<Vec<f32>> = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let src: &[f32] = h.as_deref().unwrap_or(x);
-            let mut next = layer.forward_nograd(src, rows);
-            if i != last {
-                crate::infer::leaky_relu_inplace(&mut next);
-            }
-            if let Some(prev) = h.take() {
-                crate::infer::recycle(prev);
-            }
-            h = Some(next);
-        }
-        h.expect("non-empty")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Tape;
+    use crate::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -75,8 +59,8 @@ mod tests {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(3);
         let mlp = Mlp::new(&mut ps, "mlp", &[4, 8, 2], &mut rng);
-        assert_eq!(mlp.forward(&Tensor::zeros(&[3, 4])).shape(), &[3, 2]);
-        assert_eq!(mlp.forward(&Tensor::zeros(&[2, 5, 4])).shape(), &[2, 5, 2]);
+        assert_eq!(mlp.run(&mut Tape, Tensor::zeros(&[3, 4])).shape(), &[3, 2]);
+        assert_eq!(mlp.run(&mut Tape, Tensor::zeros(&[2, 5, 4])).shape(), &[2, 5, 2]);
         // 4*8 + 8 + 8*2 + 2 scalars over 4 tensors.
         assert_eq!(ps.len(), 4);
         assert_eq!(ps.num_scalars(), 32 + 8 + 16 + 2);
@@ -93,7 +77,7 @@ mod tests {
         let y = Tensor::from_vec(vec![2.0, 0.3], &[1, 2]);
         let xy = Tensor::from_vec(vec![2.5, -0.7], &[1, 2]);
         let zero = Tensor::zeros(&[1, 2]);
-        let f = |t: &Tensor| mlp.forward(t).to_vec();
+        let f = |t: &Tensor| mlp.run(&mut Tape, t.clone()).to_vec();
         let (fx, fy, fxy, f0) = (f(&x), f(&y), f(&xy), f(&zero));
         for i in 0..2 {
             assert!((fxy[i] - fx[i] - fy[i] + f0[i]).abs() < 1e-5);

@@ -2,14 +2,12 @@
 //! management, initializers, linear layers, fused time-major recurrent
 //! layers, and an MLP.
 //!
-//! The recurrent layers ([`Lstm`], [`Gru`], [`BiLstm`]) run on the fused ops
+//! The recurrent layers ([`Lstm`], [`Gru`]) run on the fused ops
 //! in [`crate::ops`] (`rnn_gate_preproject` + one fused cell node per step).
 //! Their original step-unrolled implementations are preserved in
 //! [`reference`] as the differential-testing oracle, mirroring how
 //! `tmn-core`'s `kernels::reference` backs the optimized kernels.
 
-mod attention;
-mod bilstm;
 mod gru;
 mod init;
 mod linear;
@@ -19,8 +17,6 @@ mod params;
 pub mod reference;
 mod rnn;
 
-pub use attention::MultiHeadSelfAttention;
-pub use bilstm::BiLstm;
 pub use gru::Gru;
 pub use init::{orthogonal, uniform_xavier, zeros_init};
 pub use linear::Linear;

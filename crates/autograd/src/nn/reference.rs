@@ -1,7 +1,7 @@
 //! Step-unrolled reference recurrences, mirroring `kernels::reference`.
 //!
-//! These are the original per-step graph implementations of the LSTM, GRU,
-//! and bidirectional LSTM: one `select_time` gather, per-gate matmuls and
+//! These are the original per-step graph implementations of the LSTM and
+//! GRU: one `select_time` gather, per-gate matmuls and
 //! `slice_last` splits, and explicit state arithmetic per time step. They
 //! are deliberately slow (≈16 graph nodes per step) but arithmetically
 //! transparent, and exist solely as the differential-testing oracle for the
@@ -143,25 +143,5 @@ impl Gru {
             outs.push(hidden.clone());
         }
         ops::stack_time(&outs)
-    }
-}
-
-/// Step-unrolled bidirectional LSTM over two reference [`Lstm`]s.
-pub struct BiLstm {
-    forward: Lstm,
-    backward: Lstm,
-}
-
-impl BiLstm {
-    pub fn new(forward: Lstm, backward: Lstm) -> BiLstm {
-        assert_eq!(forward.hidden, backward.hidden, "reference::BiLstm: hidden dims differ");
-        BiLstm { forward, backward }
-    }
-
-    /// `[B, m, d_in]` → `[B, m, 2h]` (forward ++ reversed-backward).
-    pub fn forward_seq(&self, xs: &Tensor) -> Tensor {
-        let fwd = self.forward.forward_seq(xs);
-        let bwd = ops::reverse_time(&self.backward.forward_seq(&ops::reverse_time(xs)));
-        ops::concat_last(&fwd, &bwd)
     }
 }

@@ -9,24 +9,19 @@ pub trait Recurrent {
     fn input_dim(&self) -> usize;
     fn forward_seq(&self, xs: &Tensor) -> Tensor;
 
+    /// Width of one batch row of the cell state the tape-free forward
+    /// carries (the fused cell's stash: `7h` for LSTM, `5h` for GRU).
+    fn stash_dim(&self) -> usize;
+
     /// Tape-free forward over plain buffers: `xs` is `[B, m, d_in]`
     /// flattened row-major; returns `[B, m, h]` in a buffer rented from
     /// [`crate::infer`]'s pool (recycle it with [`crate::infer::recycle`]).
     /// Bitwise-identical to [`Recurrent::forward_seq`] on the same data.
-    fn forward_seq_nograd(&self, xs: &[f32], bs: usize, m: usize) -> Vec<f32>;
-
-    /// Begin a streaming (single-sequence) pass with zero initial state.
-    fn stream_begin(&self) -> crate::infer::RnnStream;
-
-    /// Advance a stream from [`stream_begin`](Recurrent::stream_begin) by
-    /// one input row `x` (`[d_in]`), writing the newest output row into
-    /// `out` (`[hidden_dim()]`). After `N` steps this row is bitwise equal
-    /// to the last row of [`forward_seq_nograd`](Recurrent::forward_seq_nograd)
-    /// over the same `N` inputs at `bs = 1` (for BiLstm, of the *newest*
-    /// output row only — earlier rows' backward halves are not maintained).
     ///
-    /// Panics if `s` came from a different backbone kind.
-    fn stream_step(&self, s: &mut crate::infer::RnnStream, x: &[f32], out: &mut [f32]);
+    /// `state` is the `[B, stash_dim()]` cell state: zeros start a
+    /// sequence, and the state after the last step is left in it, so a
+    /// sequence fed in pieces gives the same bits as fed whole.
+    fn forward_seq_nograd(&self, xs: &[f32], bs: usize, m: usize, state: &mut [f32]) -> Vec<f32>;
 }
 
 /// Which recurrent backbone to build.

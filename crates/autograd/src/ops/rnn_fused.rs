@@ -20,7 +20,7 @@
 //! 3. [`collect_states`] — one node gathering the hidden columns of all `T`
 //!    cell outputs into the `[B, T, h]` sequence output.
 //!
-//! A `T`-step forward is therefore `T + 2` nodes per direction, and every
+//! A `T`-step forward is therefore `T + 2` nodes, and every
 //! backward scatter accumulates straight into the parent's pooled gradient
 //! buffer ([`Tensor::accumulate_grad_with`]) — no zeroed temporaries.
 //!

@@ -199,41 +199,6 @@ pub fn gather_time(a: &Tensor, idx: &[usize]) -> Tensor {
     }))
 }
 
-/// Reverse the time axis of `[B, m, d]`: `out[b, t, :] = a[b, m-1-t, :]`.
-/// Used by the bidirectional LSTM's backward pass.
-pub fn reverse_time(a: &Tensor) -> Tensor {
-    let _prof = op_scope("reverse_time", 0);
-    let s = a.shape();
-    assert_eq!(s.len(), 3, "reverse_time: need [B, m, d], got {s:?}");
-    let (bs, m, d) = (s[0], s[1], s[2]);
-    let mut data = vec![0.0f32; bs * m * d];
-    {
-        let ad = a.data();
-        for b in 0..bs {
-            for t in 0..m {
-                let src = (b * m + (m - 1 - t)) * d;
-                let dst = (b * m + t) * d;
-                data[dst..dst + d].copy_from_slice(&ad[src..src + d]);
-            }
-        }
-    }
-    Tensor::from_op(&[bs, m, d], data, vec![a.clone()], Box::new(move |ctx| {
-        if ctx.parents[0].requires_grad() {
-            ctx.parents[0].accumulate_grad_with(|g| {
-                for b in 0..bs {
-                    for t in 0..m {
-                        let src = (b * m + (m - 1 - t)) * d;
-                        let dst = (b * m + t) * d;
-                        for (gv, og) in g[src..src + d].iter_mut().zip(&ctx.out_grad[dst..dst + d]) {
-                            *gv += og;
-                        }
-                    }
-                }
-            });
-        }
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,20 +263,6 @@ mod tests {
         check(&[a], |t| {
             let steps: Vec<Tensor> = (0..3).map(|i| select_time(&t[0], i)).collect();
             let y = stack_time(&steps);
-            sum_all(&mul(&y, &y))
-        }, 1e-2);
-    }
-
-    #[test]
-    fn reverse_time_involution_and_grads() {
-        let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[2, 3, 2]);
-        let r = reverse_time(&a);
-        assert_eq!(reverse_time(&r).to_vec(), a.to_vec());
-        // First time step of the reversal equals the last of the original.
-        assert_eq!(&r.to_vec()[..2], &a.to_vec()[4..6]);
-        let p = Tensor::param((0..12).map(|x| 0.1 * x as f32).collect(), &[2, 3, 2]);
-        check(std::slice::from_ref(&p), |t| {
-            let y = reverse_time(&t[0]);
             sum_all(&mul(&y, &y))
         }, 1e-2);
     }

@@ -42,7 +42,6 @@ pub const INSTRUMENTED_OPS: &[&str] = &[
     "mul_scalar_tensor",
     "qerror",
     "reshape",
-    "reverse_time",
     "rnn_gate_preproject",
     "scale",
     "select_time",

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tmn_autograd::nn::{reference, BiLstm, Gru, Lstm, ParamSet, Recurrent};
+use tmn_autograd::nn::{reference, Gru, Lstm, ParamSet, Recurrent};
 use tmn_autograd::{ops, set_intra_op_threads, Tensor};
 
 fn rand_input(rng: &mut StdRng, b: usize, m: usize, d: usize) -> Tensor {
@@ -71,28 +71,6 @@ fn gru_forward_and_grads_match_reference() {
     assert_close(&zf, &zr, 1e-5, "gru forward");
     for (i, (a, b)) in gf.iter().zip(&gr).enumerate() {
         assert_close(a, b, 1e-4, &format!("gru grad param {i}"));
-    }
-}
-
-#[test]
-fn bilstm_forward_and_grads_match_reference() {
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(303);
-    let fused = BiLstm::new(&mut ps, "bi", 3, 5, &mut rng);
-    let (fwd, bwd) = fused.directions();
-    let (fw_ih, fw_hh, fb) = fwd.weights();
-    let (bw_ih, bw_hh, bb) = bwd.weights();
-    let oracle = reference::BiLstm::new(
-        reference::Lstm::from_weights(fw_ih, fw_hh, fb),
-        reference::Lstm::from_weights(bw_ih, bw_hh, bb),
-    );
-    let x = rand_input(&mut rng, 2, 6, 3);
-
-    let (zf, gf) = run_with_grads(&ps, || fused.forward_seq(&x));
-    let (zr, gr) = run_with_grads(&ps, || oracle.forward_seq(&x));
-    assert_close(&zf, &zr, 1e-5, "bilstm forward");
-    for (i, (a, b)) in gf.iter().zip(&gr).enumerate() {
-        assert_close(a, b, 1e-4, &format!("bilstm grad param {i}"));
     }
 }
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tmn_autograd::nn::{BiLstm, Gru, MultiHeadSelfAttention, ParamSet, Recurrent};
+use tmn_autograd::nn::{Gru, ParamSet, Recurrent};
 use tmn_autograd::{ops, Tensor};
 
 /// A pool of unary op choices applied during graph construction.
@@ -134,53 +134,30 @@ fn gru_layer_gradcheck() {
 }
 
 #[test]
-fn bilstm_layer_gradcheck() {
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(11);
-    let bi = BiLstm::new(&mut ps, "bi", 2, 2, &mut rng);
-    let x = Tensor::param(
-        (0..6).map(|i| ((i as f32) * 1.07).cos() * 0.6).collect(),
-        &[1, 3, 2],
-    );
-    let leaves = leaves_of(&ps, &x);
-    fd_check(&leaves, || ops::sum_all(&bi.forward_seq(&x)), 2e-2);
-}
-
-#[test]
-fn attention_layer_gradcheck_masked_softmax_path() {
-    // Two valid key positions and one padded one exercise the masked
-    // renormalization branch of `masked_softmax` end to end.
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(13);
-    let mha = MultiHeadSelfAttention::new(&mut ps, "mha", 4, 2, &mut rng);
-    let x = Tensor::param(
-        (0..12).map(|i| ((i as f32) * 0.59).sin() * 0.8).collect(),
-        &[1, 3, 4],
-    );
+fn matching_chain_gradcheck_masked_softmax_path() {
+    // TMN's matching matrix (Eq. 6–11) end to end: bmm_nt → masked_softmax
+    // → bmm_nn → sub → mul_mask_rows. Two valid key positions and one
+    // padded one exercise the masked renormalization branch of
+    // `masked_softmax`.
+    let x_q = Tensor::param((0..12).map(|i| ((i as f32) * 0.59).sin() * 0.8).collect(), &[1, 3, 4]);
+    let x_k = Tensor::param((0..12).map(|i| ((i as f32) * 0.37).cos() * 0.7).collect(), &[1, 3, 4]);
     let mask = Tensor::from_vec(vec![1.0, 1.0, 0.0], &[1, 3]);
-    let leaves = leaves_of(&ps, &x);
-    fd_check(&leaves, || ops::sum_all(&mha.forward(&x, &mask)), 2e-2);
+    let matching = || {
+        let p = ops::masked_softmax(&ops::bmm_nt(&x_q, &x_k), &mask);
+        let m = ops::mul_mask_rows(&ops::sub(&x_q, &ops::bmm_nn(&p, &x_k)), &mask);
+        ops::sum_all(&ops::mul(&m, &m))
+    };
+    let leaves = vec![("x_q".to_string(), x_q.clone()), ("x_k".to_string(), x_k.clone())];
+    fd_check(&leaves, matching, 2e-2);
 
-    // The padded query row is zeroed by the output mask, so no gradient may
-    // flow back from it: perturbing the padded input row leaves the loss
-    // unchanged (checked inside fd_check), and its value-path gradients are
-    // killed by the masked softmax assigning it zero attention weight.
-    let grads = x.grad().expect("input gradient");
-    assert!(grads.iter().take(8).any(|&g| g != 0.0), "valid rows must receive gradient");
-}
-
-#[test]
-fn attention_layer_gradcheck_unmasked() {
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(17);
-    let mha = MultiHeadSelfAttention::new(&mut ps, "mha", 4, 1, &mut rng);
-    let x = Tensor::param(
-        (0..16).map(|i| ((i as f32) * 0.71).cos() * 0.5).collect(),
-        &[2, 2, 4],
-    );
-    let mask = Tensor::from_vec(vec![1.0; 4], &[2, 2]);
-    let leaves = leaves_of(&ps, &x);
-    fd_check(&leaves, || ops::sum_all(&mha.forward(&x, &mask)), 2e-2);
+    // The padded query row is zeroed by the row mask and the padded key
+    // gets zero attention weight, so no gradient may flow back through
+    // either (perturbing them leaves the loss unchanged, checked inside
+    // fd_check); the valid rows must still receive gradient.
+    for (name, t) in &leaves {
+        let grads = t.grad().expect("input gradient");
+        assert!(grads.iter().take(8).any(|&g| g != 0.0), "{name}: valid rows must receive gradient");
+    }
 }
 
 proptest! {

@@ -1,15 +1,16 @@
 //! Streaming (one-point-at-a-time) RNN state vs. the full tape-free re-run.
 //!
-//! The contract of [`Recurrent::stream_step`] is *bitwise* equality: after
-//! `N` steps the newest output row equals the last row of
-//! `forward_seq_nograd` over the same `N` inputs at `bs = 1`. This holds
+//! Streaming is [`Recurrent::forward_seq_nograd`] run for one step at a
+//! time from a carried cell state. The contract is *bitwise* equality:
+//! after `N` one-step calls the newest output row equals the last row of a
+//! single `N`-step call from the zero state at `bs = 1`. This holds
 //! because `kernels::mm_nn` dispatches on per-row work (`k·n`) only — a
-//! 1-row stream GEMM takes the same kernel as the corresponding row of the
-//! full-sequence preprojection — and both paths share the same elementwise
-//! step functions. Sizes below straddle the `ROW_STABLE_MIN_KN` dispatch
-//! threshold so both the naive and the blocked kernel are exercised.
+//! 1-row GEMM takes the same kernel as the corresponding row of the
+//! full-sequence preprojection — and both runs are the same kernel. Sizes
+//! below straddle the `ROW_STABLE_MIN_KN` dispatch threshold so both the
+//! naive and the blocked kernel are exercised.
 
-use tmn_autograd::nn::{BiLstm, Gru, Lstm, ParamSet, Recurrent};
+use tmn_autograd::nn::{Gru, Lstm, ParamSet, Recurrent};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     use rand::SeedableRng;
@@ -23,24 +24,21 @@ fn wiggle(n: usize, seed: u32) -> Vec<f32> {
         .collect()
 }
 
-/// Feed `m` rows through the stream, checking each prefix against a full
-/// tape-free re-run at `bs = 1`.
+/// Feed `m` rows through the stream one step at a time, checking each
+/// prefix against a full tape-free re-run at `bs = 1`.
 fn check_stream(cell: &dyn Recurrent, m: usize, seed: u32) {
     let d_in = cell.input_dim();
     let h_out = cell.hidden_dim();
     let xs = wiggle(m * d_in, seed);
-    let mut stream = cell.stream_begin();
-    let mut row = vec![0.0f32; h_out];
+    let mut state = vec![0.0f32; cell.stash_dim()];
     for t in 0..m {
-        cell.stream_step(&mut stream, &xs[t * d_in..(t + 1) * d_in], &mut row);
-        assert_eq!(stream.len(), t + 1);
-        let full = cell.forward_seq_nograd(&xs[..(t + 1) * d_in], 1, t + 1);
+        let row = cell.forward_seq_nograd(&xs[t * d_in..(t + 1) * d_in], 1, 1, &mut state);
+        let full = cell.forward_seq_nograd(&xs[..(t + 1) * d_in], 1, t + 1, &mut vec![0.0; cell.stash_dim()]);
         assert_eq!(
             row.as_slice(),
             &full[t * h_out..(t + 1) * h_out],
             "stream row diverged from full re-run at step {t} (d_in={d_in}, h_out={h_out})"
         );
-        tmn_autograd::infer::recycle(full);
     }
 }
 
@@ -65,18 +63,6 @@ fn gru_stream_matches_full_rerun_bitwise() {
 }
 
 #[test]
-fn bilstm_stream_matches_newest_row_of_full_rerun_bitwise() {
-    // Only the NEWEST row is promised: its backward half is the backward
-    // LSTM's first step over the reversed input, i.e. one cell step from
-    // zero state on the newest point.
-    for (d_in, h, seed) in [(3, 4, 301), (4, 20, 302)] {
-        let mut ps = ParamSet::new();
-        let cell = BiLstm::new(&mut ps, "b", d_in, h, &mut rng(13 + seed as u64));
-        check_stream(&cell, 9, seed);
-    }
-}
-
-#[test]
 fn stream_survives_crossing_kernel_dispatch_sizes() {
     // A long stream on a size whose preprojection GEMM (m rows) sits above
     // the blocked threshold while each stream step's 1-row GEMM has the
@@ -88,12 +74,11 @@ fn stream_survives_crossing_kernel_dispatch_sizes() {
 }
 
 #[test]
-#[should_panic(expected = "different backbone")]
+#[should_panic(expected = "state must be [B, 7h]")]
 fn stream_state_kind_mismatch_panics() {
     let mut ps = ParamSet::new();
     let lstm = Lstm::new(&mut ps, "l", 3, 4, &mut rng(1));
     let gru = Gru::new(&mut ps, "g", 3, 4, &mut rng(2));
-    let mut s = gru.stream_begin();
-    let mut out = vec![0.0f32; 4];
-    lstm.stream_step(&mut s, &[0.1, 0.2, 0.3], &mut out);
+    let mut gru_state = vec![0.0f32; gru.stash_dim()];
+    lstm.forward_seq_nograd(&[0.1, 0.2, 0.3], 1, 1, &mut gru_state);
 }

@@ -22,7 +22,7 @@
 //! registered in `tmn_autograd::INSTRUMENTED_OPS` (CI smoke).
 //!
 //! `--nodes` builds each recurrent layer once and asserts the fused path
-//! stays within its graph-node budget of ≤3 nodes per (step × direction) —
+//! stays within its graph-node budget of ≤3 nodes per step —
 //! the regression gate for the time-major RNN fusion.
 
 use std::time::Instant;
@@ -92,37 +92,34 @@ fn main() {
     run();
 }
 
-/// Assert the fused recurrent layers stay within ≤3 graph nodes per
-/// (time step × direction). Run by `scripts/ci.sh` so a change that quietly
+/// Assert the fused recurrent layers stay within ≤3 graph nodes per time
+/// step. Run by `scripts/ci.sh` so a change that quietly
 /// reintroduces per-step op chains (select/matmul/slice/... ≈ 16 nodes/step)
 /// fails loudly instead of only showing up as a slow profile.
 fn check_node_budget() -> Result<String, String> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tmn_autograd::nn::{BiLstm, Gru, Lstm, ParamSet, Recurrent};
+    use tmn_autograd::nn::{Gru, Lstm, ParamSet, Recurrent};
     use tmn_autograd::Tensor;
 
     const T: usize = 32;
-    const BUDGET_PER_STEP_DIR: u64 = 3;
+    const BUDGET_PER_STEP: u64 = 3;
     let x = Tensor::from_vec((0..2 * T * 6).map(|i| (i as f32 * 0.13).sin()).collect(), &[2, T, 6]);
 
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(7);
-    let layers: Vec<(&str, Box<dyn Recurrent>, u64)> = vec![
-        ("lstm", Box::new(Lstm::new(&mut ps, "lstm", 6, 8, &mut rng)), 1),
-        ("gru", Box::new(Gru::new(&mut ps, "gru", 6, 8, &mut rng)), 1),
-        ("bilstm", Box::new(BiLstm::new(&mut ps, "bi", 6, 8, &mut rng)), 2),
+    let layers: Vec<(&str, Box<dyn Recurrent>)> = vec![
+        ("lstm", Box::new(Lstm::new(&mut ps, "lstm", 6, 8, &mut rng))),
+        ("gru", Box::new(Gru::new(&mut ps, "gru", 6, 8, &mut rng))),
     ];
+    let budget = BUDGET_PER_STEP * T as u64;
     let mut parts = Vec::new();
-    for (name, layer, dirs) in &layers {
+    for (name, layer) in &layers {
         let before = Tensor::scalar(0.0).id();
         let out = layer.forward_seq(&x);
         let nodes = out.id() - before - 1;
-        let budget = BUDGET_PER_STEP_DIR * T as u64 * dirs;
         if nodes > budget {
-            return Err(format!(
-                "{name}: {nodes} graph nodes for {T} steps x {dirs} direction(s), budget {budget}"
-            ));
+            return Err(format!("{name}: {nodes} graph nodes for {T} steps, budget {budget}"));
         }
         parts.push(format!("{name} {nodes}/{budget}"));
     }

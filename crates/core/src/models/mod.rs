@@ -6,6 +6,13 @@
 //! pairs into per-time-step representations `O ∈ ℝ^{B×m×d}` from which the
 //! trainer takes the last-valid-step rows as trajectory vectors (and prefix
 //! rows for the sub-trajectory loss).
+//!
+//! Each model defines its forward exactly once, as [`Encode::encode`] over
+//! a `tmn_autograd::exec::Exec` executor. The graphed training forward
+//! ([`PairModel::encode_pairs`]), the tape-free embed
+//! ([`PairModel::embed_nograd`]) and the per-point stream
+//! ([`PairModel::embed_incremental`]) are thin calls to it with the `Tape`
+//! or `NoGrad` executor, so the three agree bitwise by construction.
 
 mod neutraj;
 mod srn;
@@ -21,6 +28,7 @@ pub use tmn::Tmn;
 
 use crate::batch::{PairBatch, SideBatch};
 use stream::StreamInner;
+use tmn_autograd::exec::{Exec, NoGrad, Tape};
 use tmn_autograd::nn::ParamSet;
 use tmn_autograd::Tensor;
 use tmn_traj::{Point, Trajectory};
@@ -31,6 +39,31 @@ pub struct EncodedBatch {
     pub out_a: Tensor,
     /// `[B, m, d]` representations of side B's points.
     pub out_b: Tensor,
+}
+
+/// A model's one forward definition.
+pub trait Encode {
+    /// Encode `own` into `[B, m, d]` per-step representations. `other` is
+    /// the paired side, read only by pair-dependent models (TMN's
+    /// matching); independent models ignore it.
+    fn encode<E: Exec>(&self, e: &mut E, own: &SideBatch, other: &SideBatch) -> E::V;
+}
+
+/// [`PairModel::encode_pairs`] for any [`Encode`] model: both sides
+/// through the graphed executor.
+pub(crate) fn encode_pairs<M: Encode>(model: &M, batch: &PairBatch) -> EncodedBatch {
+    EncodedBatch {
+        out_a: model.encode(&mut Tape, &batch.a, &batch.b),
+        out_b: model.encode(&mut Tape, &batch.b, &batch.a),
+    }
+}
+
+/// [`PairModel::embed_nograd`] for any [`Encode`] model: the tape-free
+/// executor plus the last-valid-step gather.
+pub(crate) fn embed_nograd<M: Encode>(model: &M, own: &SideBatch, other: &SideBatch) -> Vec<f32> {
+    let mut e = NoGrad::default();
+    let seq = model.encode(&mut e, own, other);
+    e.gather_last(&seq, &own.last_idx).into_vec()
 }
 
 /// A trainable trajectory-pair encoder.
@@ -72,19 +105,14 @@ pub trait PairModel {
     /// encoding), returned as a flat `[B · d]` buffer. `other` is the paired
     /// side, consulted only by pair-dependent models (TMN's matching).
     ///
-    /// Implementations run entirely over plain `Vec<f32>` buffers via
-    /// `tmn_autograd::infer` — zero graph-node allocation — and are
-    /// bitwise-identical to `encode_pairs` + last-step gather. Returns
-    /// `None` when the model has no fast path (evaluation falls back to the
-    /// graphed forward under `no_grad`).
-    fn embed_nograd(&self, _own: &SideBatch, _other: &SideBatch) -> Option<Vec<f32>> {
-        None
-    }
+    /// This is the model's one forward run on the `NoGrad` executor: plain
+    /// pooled buffers, zero graph-node allocation, and bitwise equal to
+    /// [`encode_pairs`](Self::encode_pairs) plus the last-step gather.
+    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Vec<f32>;
 
     /// Begin a streaming embedding of ONE trajectory, or `None` when the
     /// model cannot embed single trajectories point-by-point: pair-dependent
-    /// TMN (the matching mechanism needs the paired side) and attention
-    /// variants without a tape-free path (T3S multi-head).
+    /// TMN (the matching mechanism needs the paired side).
     ///
     /// Recurrent models return resumable hidden state; attention models
     /// return a *windowed* stream whose appends re-embed the buffered window
@@ -98,12 +126,14 @@ pub trait PairModel {
     ///
     /// For recurrent models the result is bitwise equal to
     /// [`embed_nograd`](Self::embed_nograd) over the full point sequence at
-    /// batch size 1, at O(1) cost per append (one embed row + one cell step).
-    /// For windowed models it equals a full re-embed over the current window.
+    /// batch size 1, at O(1) cost per append: the model's forward runs on
+    /// the one new point with the recurrent layer resuming from the
+    /// stream's carried state. For windowed models it equals a full
+    /// re-embed over the current window.
     ///
-    /// The default handles the windowed fallback; models that hand out an
-    /// RNN stream override it. Panics if `state` came from another model
-    /// kind.
+    /// The default handles the windowed fallback; models that hand out a
+    /// recurrent stream override it. Panics if `state` came from another
+    /// model kind.
     fn embed_incremental(&self, state: &mut ModelStream, point: Point) -> Vec<f32> {
         match &mut state.inner {
             StreamInner::Window { points, cap } => {
@@ -115,10 +145,9 @@ pub trait PairModel {
                 let traj = Trajectory::new(points.clone());
                 let side = SideBatch::build(&[&traj], traj.len());
                 self.embed_nograd(&side, &side)
-                    .expect("windowed stream requires a tape-free embed path")
             }
             StreamInner::Rnn(_) => panic!(
-                "{}: model handed out an RNN stream but does not override embed_incremental",
+                "{}: model handed out a recurrent stream but does not override embed_incremental",
                 self.name()
             ),
         }

@@ -10,14 +10,16 @@
 //! an exponential moving average after every optimizer step — matching the
 //! write-after-process behaviour of the original.
 
-use super::{EncodedBatch, PairModel};
+use super::{Encode, EncodedBatch, ModelStream, PairModel};
 use crate::batch::{grid_neighbourhood, PairBatch, SideBatch, GRID_RESOLUTION};
 use crate::config::ModelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
+use tmn_autograd::exec::Exec;
 use tmn_autograd::nn::{Linear, Lstm, ParamSet, Recurrent};
-use tmn_autograd::{infer, no_grad, ops, Tensor};
+use tmn_autograd::{no_grad, Tensor};
+use tmn_traj::Point;
 
 /// LSTM + spatial attention memory.
 pub struct NeuTraj {
@@ -59,18 +61,10 @@ impl NeuTraj {
         mem.iter().filter(|m| m.is_some()).count() as f64 / mem.len() as f64
     }
 
-    /// Attention read over the 3×3 neighbourhood of each point's cell,
-    /// using the (detached) point embedding prefix as the query.
-    fn memory_read(&self, side: &SideBatch, x_detached: &[f32]) -> Vec<f32> {
-        let (b, m) = (side.batch_size(), side.max_len);
-        let mut out = vec![0.0f32; b * m * self.dim];
-        self.memory_read_into(side, x_detached, &mut out);
-        out
-    }
-
-    /// [`memory_read`](Self::memory_read) into a caller-owned (pre-zeroed)
-    /// `[b·m·d]` buffer, so the tape-free path can rent it from the pool.
-    fn memory_read_into(&self, side: &SideBatch, x_detached: &[f32], out: &mut [f32]) {
+    /// Attention read over the 3×3 neighbourhood of each point's cell into
+    /// a pre-zeroed `[b·m·d]` buffer, using the (detached) point embedding
+    /// prefix as the query.
+    fn memory_read(&self, side: &SideBatch, x_detached: &[f32], out: &mut [f32]) {
         let m = side.max_len;
         let mem = self.memory.borrow();
         for (row, cells) in side.grid_ids.iter().enumerate() {
@@ -83,8 +77,7 @@ impl NeuTraj {
     }
 
     /// One point's attention read over the 3×3 neighbourhood of `cell` into
-    /// the pre-zeroed `slot` (`[d]`). Shared by the batched path above and
-    /// the streaming path so both compute identical bits.
+    /// the pre-zeroed `slot` (`[d]`).
     fn memory_read_point(mem: &[Option<Vec<f32>>], cell: usize, q: &[f32], slot: &mut [f32]) {
         // Attention over occupied neighbour cells; score = dot of the
         // query with the entry's first d̂ components.
@@ -112,16 +105,6 @@ impl NeuTraj {
         }
     }
 
-    fn encode_side(&self, side: &SideBatch) -> Tensor {
-        let x = ops::leaky_relu(&self.embed.forward(&side.feats));
-        let x_plain = x.to_vec();
-        let read = self.memory_read(side, &x_plain);
-        let (b, m) = (side.batch_size(), side.max_len);
-        let read_t = Tensor::from_vec(read, &[b, m, self.dim]);
-        
-        self.lstm.forward_seq(&ops::concat_last(&x, &read_t))
-    }
-
     /// Write final hidden states back into the memory cells the trajectory
     /// visited (EMA update, gradient-free).
     fn memory_write(&self, side: &SideBatch, out: &Tensor) {
@@ -145,13 +128,24 @@ impl NeuTraj {
     }
 }
 
+impl Encode for NeuTraj {
+    fn encode<E: Exec>(&self, e: &mut E, own: &SideBatch, _other: &SideBatch) -> E::V {
+        let feats = e.input(&own.feats);
+        let x = e.linear(&self.embed, &feats);
+        let x = e.leaky_relu(x);
+        let read = e.detached(&x, self.dim, |xd, out| self.memory_read(own, xd, out));
+        let lstm_in = e.concat(&x, &read);
+        e.recurrent(&self.lstm, &lstm_in)
+    }
+}
+
 impl PairModel for NeuTraj {
     fn params(&self) -> &ParamSet {
         &self.params
     }
 
     fn encode_pairs(&self, batch: &PairBatch) -> EncodedBatch {
-        EncodedBatch { out_a: self.encode_side(&batch.a), out_b: self.encode_side(&batch.b) }
+        super::encode_pairs(self, batch)
     }
 
     fn dim(&self) -> usize {
@@ -165,21 +159,8 @@ impl PairModel for NeuTraj {
         });
     }
 
-    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Option<Vec<f32>> {
-        let (bs, m) = (own.batch_size(), own.max_len);
-        let feats = own.feats.data();
-        let mut x = self.embed.forward_nograd(&feats, bs * m);
-        infer::leaky_relu_inplace(&mut x);
-        let mut read = infer::take(bs * m * self.dim);
-        self.memory_read_into(own, &x, &mut read);
-        let lstm_in = infer::concat_cols(&x, &read, bs * m, self.half, self.dim);
-        infer::recycle(read);
-        infer::recycle(x);
-        let seq = self.lstm.forward_seq_nograd(&lstm_in, bs, m);
-        infer::recycle(lstm_in);
-        let out = infer::gather_last(&seq, bs, m, self.dim, &own.last_idx);
-        infer::recycle(seq);
-        Some(out)
+    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Vec<f32> {
+        super::embed_nograd(self, own, other)
     }
 
     /// The spatial attention memory is mutable state outside the `ParamSet`:
@@ -193,33 +174,12 @@ impl PairModel for NeuTraj {
     /// full re-embed as long as the memory is not written to in between
     /// (writes only happen in [`post_step`](PairModel::post_step), i.e.
     /// during training).
-    fn stream_begin(&self) -> Option<super::ModelStream> {
-        Some(super::ModelStream::rnn(self.lstm.stream_begin()))
+    fn stream_begin(&self) -> Option<ModelStream> {
+        Some(ModelStream::rnn(self.lstm.stash_dim()))
     }
 
-    fn embed_incremental(
-        &self,
-        state: &mut super::ModelStream,
-        point: tmn_traj::Point,
-    ) -> Vec<f32> {
-        let s = state.rnn_mut("NeuTraj");
-        let feat = [point.lon as f32, point.lat as f32];
-        let mut x = self.embed.forward_nograd(&feat, 1);
-        infer::leaky_relu_inplace(&mut x);
-        let mut read = infer::take(self.dim);
-        {
-            let mem = self.memory.borrow();
-            let cell = crate::batch::grid_id(point.lon, point.lat);
-            Self::memory_read_point(&mem, cell, &x[..self.half], &mut read[..self.dim]);
-        }
-        let lstm_in = infer::concat_cols(&x, &read, 1, self.half, self.dim);
-        infer::recycle(read);
-        infer::recycle(x);
-        let mut out = vec![0.0f32; self.dim];
-        self.lstm.stream_step(s, &lstm_in, &mut out);
-        infer::recycle(lstm_in);
-        state.appended += 1;
-        out
+    fn embed_incremental(&self, state: &mut ModelStream, point: Point) -> Vec<f32> {
+        super::stream::step(self, state, point)
     }
 
     fn name(&self) -> &'static str {
@@ -230,6 +190,7 @@ impl PairModel for NeuTraj {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmn_autograd::ops;
     use tmn_traj::{Point, Trajectory};
 
     fn traj(off: f64, len: usize) -> Trajectory {

@@ -6,13 +6,14 @@
 //! kd-sampling) is SRN; the same backbone trained with Traj2SimVec's recipe
 //! is the Traj2SimVec baseline.
 
-use super::{EncodedBatch, PairModel};
+use super::{Encode, EncodedBatch, ModelStream, PairModel};
 use crate::batch::{PairBatch, SideBatch};
 use crate::config::ModelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tmn_autograd::exec::Exec;
 use tmn_autograd::nn::{Linear, Lstm, ParamSet, Recurrent};
-use tmn_autograd::{infer, ops, Tensor};
+use tmn_traj::Point;
 
 /// Siamese LSTM encoder.
 pub struct Srn {
@@ -32,10 +33,14 @@ impl Srn {
         let lstm = Lstm::new(&mut params, "lstm", dh, d, &mut rng);
         Srn { params, embed, lstm, dim: d }
     }
+}
 
-    fn encode_side(&self, side: &SideBatch) -> Tensor {
-        let x = ops::leaky_relu(&self.embed.forward(&side.feats));
-        self.lstm.forward_seq(&x)
+impl Encode for Srn {
+    fn encode<E: Exec>(&self, e: &mut E, own: &SideBatch, _other: &SideBatch) -> E::V {
+        let feats = e.input(&own.feats);
+        let x = e.linear(&self.embed, &feats);
+        let x = e.leaky_relu(x);
+        e.recurrent(&self.lstm, &x)
     }
 }
 
@@ -45,43 +50,23 @@ impl PairModel for Srn {
     }
 
     fn encode_pairs(&self, batch: &PairBatch) -> EncodedBatch {
-        EncodedBatch { out_a: self.encode_side(&batch.a), out_b: self.encode_side(&batch.b) }
+        super::encode_pairs(self, batch)
     }
 
     fn dim(&self) -> usize {
         self.dim
     }
 
-    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Option<Vec<f32>> {
-        let (bs, m) = (own.batch_size(), own.max_len);
-        let feats = own.feats.data();
-        let mut x = self.embed.forward_nograd(&feats, bs * m);
-        infer::leaky_relu_inplace(&mut x);
-        let seq = self.lstm.forward_seq_nograd(&x, bs, m);
-        infer::recycle(x);
-        let out = infer::gather_last(&seq, bs, m, self.dim, &own.last_idx);
-        infer::recycle(seq);
-        Some(out)
+    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Vec<f32> {
+        super::embed_nograd(self, own, other)
     }
 
-    fn stream_begin(&self) -> Option<super::ModelStream> {
-        Some(super::ModelStream::rnn(self.lstm.stream_begin()))
+    fn stream_begin(&self) -> Option<ModelStream> {
+        Some(ModelStream::rnn(self.lstm.stash_dim()))
     }
 
-    fn embed_incremental(
-        &self,
-        state: &mut super::ModelStream,
-        point: tmn_traj::Point,
-    ) -> Vec<f32> {
-        let s = state.rnn_mut("SRN");
-        let feat = [point.lon as f32, point.lat as f32];
-        let mut x = self.embed.forward_nograd(&feat, 1);
-        infer::leaky_relu_inplace(&mut x);
-        let mut out = vec![0.0f32; self.dim];
-        self.lstm.stream_step(s, &x, &mut out);
-        infer::recycle(x);
-        state.appended += 1;
-        out
+    fn embed_incremental(&self, state: &mut ModelStream, point: Point) -> Vec<f32> {
+        super::stream::step(self, state, point)
     }
 
     fn name(&self) -> &'static str {
@@ -92,6 +77,7 @@ impl PairModel for Srn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmn_autograd::ops;
     use tmn_traj::{Point, Trajectory};
 
     fn traj(off: f64, len: usize) -> Trajectory {

@@ -7,13 +7,14 @@
 //! *intra*-trajectory — precisely the design TMN's cross-trajectory
 //! matching improves on.
 
-use super::{EncodedBatch, PairModel};
+use super::{Encode, EncodedBatch, ModelStream, PairModel};
 use crate::batch::{PairBatch, SideBatch};
 use crate::config::ModelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tmn_autograd::nn::{Linear, Lstm, MultiHeadSelfAttention, ParamSet, Recurrent};
-use tmn_autograd::{infer, ops, Tensor};
+use tmn_autograd::exec::Exec;
+use tmn_autograd::nn::{Linear, Lstm, ParamSet};
+use tmn_autograd::Tensor;
 
 /// Maximum sequence length supported by the learned positional embedding.
 pub const MAX_POSITIONS: usize = 512;
@@ -29,25 +30,12 @@ pub struct T3s {
     pos: Tensor,
     /// Raw combination logit; λ = σ(raw).
     lambda: Tensor,
-    /// Transformer-style multi-head attention variant (None = the plain
-    /// dot-product self-attention of the default T3S reproduction).
-    mha: Option<MultiHeadSelfAttention>,
     dim: usize,
     half: usize,
 }
 
 impl T3s {
     pub fn new(config: &ModelConfig) -> T3s {
-        T3s::build(config, None)
-    }
-
-    /// Variant whose structural branch is Transformer-style multi-head
-    /// attention (with Q/K/V/O projections); `heads` must divide `d/2`.
-    pub fn with_heads(config: &ModelConfig, heads: usize) -> T3s {
-        T3s::build(config, Some(heads))
-    }
-
-    fn build(config: &ModelConfig, heads: Option<usize>) -> T3s {
         let d = config.dim;
         let dh = config.half_dim();
         let mut params = ParamSet::new();
@@ -63,36 +51,28 @@ impl T3s {
             ),
         );
         let lambda = params.register("lambda", Tensor::param(vec![0.0], &[1]));
-        let mha = heads.map(|h| MultiHeadSelfAttention::new(&mut params, "mha", dh, h, &mut rng));
-        T3s { params, embed, lstm, attn_proj, pos, lambda, mha, dim: d, half: dh }
+        T3s { params, embed, lstm, attn_proj, pos, lambda, dim: d, half: dh }
     }
+}
 
-    /// Slice the positional table to `[m, d̂]` and broadcast-add per batch row.
-    fn add_positions(&self, x: &Tensor, b: usize, m: usize) -> Tensor {
-        assert!(m <= MAX_POSITIONS, "T3S: sequence longer than positional table");
-        let rows = ops::tile_rows(&ops::slice_rows(&self.pos, m), b);
-        ops::add(x, &rows)
-    }
-
-    fn encode_side(&self, side: &SideBatch) -> Tensor {
-        let (b, m) = (side.batch_size(), side.max_len);
-        let x = ops::leaky_relu(&self.embed.forward(&side.feats));
+impl Encode for T3s {
+    fn encode<E: Exec>(&self, e: &mut E, own: &SideBatch, _other: &SideBatch) -> E::V {
+        assert!(own.max_len <= MAX_POSITIONS, "T3S: sequence longer than positional table");
+        let feats = e.input(&own.feats);
+        let x = e.linear(&self.embed, &feats);
+        let x = e.leaky_relu(x);
         // Spatial branch.
-        let z = self.lstm.forward_seq(&x);
+        let z = e.recurrent(&self.lstm, &x);
         // Structural branch: self-attention with positional information.
-        let xp = self.add_positions(&x, b, m);
-        let attn = if let Some(mha) = &self.mha {
-            mha.forward(&xp, &side.mask)
-        } else {
-            let scores = ops::scale(&ops::bmm_nt(&xp, &xp), 1.0 / (self.half as f32).sqrt());
-            let p = ops::masked_softmax(&scores, &side.mask);
-            ops::mul_mask_rows(&ops::bmm_nn(&p, &xp), &side.mask)
-        };
-        let attn_d = self.attn_proj.forward(&attn);
+        let xp = e.add_positions(x, &self.pos);
+        let scores = e.bmm_nt(&xp, &xp);
+        let scores = e.scale(scores, 1.0 / (self.half as f32).sqrt());
+        let p = e.masked_softmax(scores, &own.mask);
+        let attn = e.bmm_nn(&p, &xp);
+        let attn = e.mask_rows(attn, &own.mask);
+        let attn_d = e.linear(&self.attn_proj, &attn);
         // Combine: λ·LSTM + (1−λ)·attention with a learned, differentiable λ.
-        let lam = ops::sigmoid(&self.lambda);
-        let one_minus = ops::add_scalar(&ops::neg(&lam), 1.0);
-        ops::add(&ops::mul_scalar_tensor(&z, &lam), &ops::mul_scalar_tensor(&attn_d, &one_minus))
+        e.mix(z, &attn_d, &self.lambda)
     }
 }
 
@@ -102,74 +82,22 @@ impl PairModel for T3s {
     }
 
     fn encode_pairs(&self, batch: &PairBatch) -> EncodedBatch {
-        EncodedBatch { out_a: self.encode_side(&batch.a), out_b: self.encode_side(&batch.b) }
+        super::encode_pairs(self, batch)
     }
 
     fn dim(&self) -> usize {
         self.dim
     }
 
-    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Option<Vec<f32>> {
-        // The multi-head variant has no tape-free path yet.
-        if self.mha.is_some() {
-            return None;
-        }
-        let (bs, m) = (own.batch_size(), own.max_len);
-        assert!(m <= MAX_POSITIONS, "T3S: sequence longer than positional table");
-        let (dh, d) = (self.half, self.dim);
-        let feats = own.feats.data();
-        let mut x = self.embed.forward_nograd(&feats, bs * m);
-        infer::leaky_relu_inplace(&mut x);
-        // Spatial branch.
-        let z = self.lstm.forward_seq_nograd(&x, bs, m);
-        // Structural branch: add positions in place, then self-attention.
-        let pos = self.pos.data();
-        for bi in 0..bs {
-            for t in 0..m {
-                let row = &mut x[(bi * m + t) * dh..(bi * m + t + 1) * dh];
-                for (v, p) in row.iter_mut().zip(&pos[t * dh..(t + 1) * dh]) {
-                    *v += *p;
-                }
-            }
-        }
-        let mask = own.mask.data();
-        let mut scores = infer::bmm_nt(&x, &x, bs, m, dh, m);
-        let inv_sqrt = 1.0 / (dh as f32).sqrt();
-        for v in scores.iter_mut() {
-            *v *= inv_sqrt;
-        }
-        infer::masked_softmax_inplace(&mut scores, &mask, bs, m, m);
-        let mut attn = infer::bmm_nn(&scores, &x, bs, m, m, dh);
-        infer::recycle(scores);
-        infer::mask_rows_inplace(&mut attn, &mask, bs, m, dh);
-        infer::recycle(x);
-        let attn_d = self.attn_proj.forward_nograd(&attn, bs * m);
-        infer::recycle(attn);
-        // Combine: λ·LSTM + (1−λ)·attention, matching the graphed op order.
-        let lam = {
-            let l = self.lambda.data();
-            1.0 / (1.0 + (-l[0]).exp())
-        };
-        let one_minus = -lam + 1.0;
-        let mut seq = z;
-        for (o, a) in seq.iter_mut().zip(&attn_d) {
-            *o = *o * lam + *a * one_minus;
-        }
-        infer::recycle(attn_d);
-        let out = infer::gather_last(&seq, bs, m, d, &own.last_idx);
-        infer::recycle(seq);
-        Some(out)
+    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Vec<f32> {
+        super::embed_nograd(self, own, other)
     }
 
     /// Self-attention mixes every point with every other, so there is no
     /// O(1) incremental update — T3S streams through the windowed fallback
-    /// (full re-embed per append, window capped at [`MAX_POSITIONS`]). The
-    /// multi-head variant has no tape-free path and cannot stream at all.
-    fn stream_begin(&self) -> Option<super::ModelStream> {
-        if self.mha.is_some() {
-            return None;
-        }
-        Some(super::ModelStream::window(MAX_POSITIONS))
+    /// (full re-embed per append, window capped at [`MAX_POSITIONS`]).
+    fn stream_begin(&self) -> Option<ModelStream> {
+        Some(ModelStream::window(MAX_POSITIONS))
     }
 
     fn name(&self) -> &'static str {
@@ -180,6 +108,7 @@ impl PairModel for T3s {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmn_autograd::ops;
     use tmn_traj::{Point, Trajectory};
 
     fn traj(off: f64, len: usize) -> Trajectory {
@@ -210,19 +139,6 @@ mod tests {
         let ef = m.encode_pairs(&PairBatch::build(&[&fwd], &[&fwd]));
         let er = m.encode_pairs(&PairBatch::build(&[&rev], &[&rev]));
         assert_ne!(ef.out_a.to_vec(), er.out_a.to_vec());
-    }
-
-    #[test]
-    fn multi_head_variant_builds_and_differs() {
-        let plain = T3s::new(&ModelConfig { dim: 8, seed: 6 });
-        let multi = T3s::with_heads(&ModelConfig { dim: 8, seed: 6 }, 2);
-        assert!(multi.params().num_scalars() > plain.params().num_scalars());
-        let (a, b) = (traj(0.2, 5), traj(0.7, 5));
-        let batch = PairBatch::build(&[&a], &[&b]);
-        let e1 = plain.encode_pairs(&batch);
-        let e2 = multi.encode_pairs(&batch);
-        assert_eq!(e2.out_a.shape(), &[1, 5, 8]);
-        assert_ne!(e1.out_a.to_vec(), e2.out_a.to_vec());
     }
 
     #[test]

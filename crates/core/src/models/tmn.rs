@@ -14,13 +14,14 @@
 //! With `matching = false` this is the TMN-NM ablation: the LSTM consumes
 //! the point embeddings alone and the rest of the network is unchanged.
 
-use super::{EncodedBatch, PairModel};
+use super::{Encode, EncodedBatch, ModelStream, PairModel};
 use crate::batch::{PairBatch, SideBatch};
 use crate::config::ModelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tmn_autograd::exec::Exec;
 use tmn_autograd::nn::{Linear, Mlp, ParamSet, Recurrent, RnnKind};
-use tmn_autograd::{infer, ops, Tensor};
+use tmn_traj::Point;
 
 /// Trajectory Matching Network.
 pub struct Tmn {
@@ -59,34 +60,39 @@ impl Tmn {
     }
 
     /// Eq. 4–5: embed raw coordinates.
-    fn embed_side(&self, side: &SideBatch) -> Tensor {
-        ops::leaky_relu(&self.embed.forward(&side.feats))
+    fn embed_side<E: Exec>(&self, e: &mut E, side: &SideBatch) -> E::V {
+        let feats = e.input(&side.feats);
+        let x = e.linear(&self.embed, &feats);
+        e.leaky_relu(x)
     }
+}
 
-    /// Eq. 6–11 for one direction: the matching matrix `M_{q←k}`.
-    fn matching_matrix(x_q: &Tensor, x_k: &Tensor, q: &SideBatch, k: &SideBatch) -> Tensor {
-        // Match scores m^{(i,j)} = x_q^{(i)} · x_k^{(j)} (Eq. 6, batched Eq. 8).
-        let scores = ops::bmm_nt(x_q, x_k);
-        // Masked softmax over the key trajectory's real points (Eq. 7).
-        let p = ops::masked_softmax(&scores, &k.mask);
-        // Weighted sum of the key embeddings (Eq. 9–10).
-        let s = ops::bmm_nn(&p, x_k);
-        // Discrepancy (Eq. 11), with padded query rows covered by zeros as
-        // the paper prescribes for the post-softmax masking.
-        ops::mul_mask_rows(&ops::sub(x_q, &s), &q.mask)
-    }
+/// Eq. 6–11 for one direction: the matching matrix `M_{q←k}`.
+fn matching_matrix<E: Exec>(e: &mut E, x_q: &E::V, x_k: &E::V, q: &SideBatch, k: &SideBatch) -> E::V {
+    // Match scores m^{(i,j)} = x_q^{(i)} · x_k^{(j)} (Eq. 6, batched Eq. 8).
+    let scores = e.bmm_nt(x_q, x_k);
+    // Masked softmax over the key trajectory's real points (Eq. 7).
+    let p = e.masked_softmax(scores, &k.mask);
+    // Weighted sum of the key embeddings (Eq. 9–10).
+    let s = e.bmm_nn(&p, x_k);
+    // Discrepancy (Eq. 11), with padded query rows covered by zeros as
+    // the paper prescribes for the post-softmax masking.
+    let m = e.sub(x_q, s);
+    e.mask_rows(m, &q.mask)
+}
 
-    fn encode_side(&self, own: &SideBatch, other: &SideBatch) -> Tensor {
-        let x_own = self.embed_side(own);
-        let lstm_in = if self.matching {
-            let x_other = self.embed_side(other);
-            let m = Self::matching_matrix(&x_own, &x_other, own, other);
-            ops::concat_last(&x_own, &m) // Eq. 12's X ⊕ M
+impl Encode for Tmn {
+    fn encode<E: Exec>(&self, e: &mut E, own: &SideBatch, other: &SideBatch) -> E::V {
+        let x_own = self.embed_side(e, own);
+        let rnn_in = if self.matching {
+            let x_other = self.embed_side(e, other);
+            let m = matching_matrix(e, &x_own, &x_other, own, other);
+            e.concat(&x_own, &m) // Eq. 12's X ⊕ M
         } else {
             x_own
         };
-        let z = self.rnn.forward_seq(&lstm_in);
-        self.mlp.forward(&z) // Eq. 13
+        let z = e.recurrent(self.rnn.as_ref(), &rnn_in);
+        self.mlp.run(e, z) // Eq. 13
     }
 }
 
@@ -96,10 +102,7 @@ impl PairModel for Tmn {
     }
 
     fn encode_pairs(&self, batch: &PairBatch) -> EncodedBatch {
-        EncodedBatch {
-            out_a: self.encode_side(&batch.a, &batch.b),
-            out_b: self.encode_side(&batch.b, &batch.a),
-        }
+        super::encode_pairs(self, batch)
     }
 
     fn dim(&self) -> usize {
@@ -110,72 +113,19 @@ impl PairModel for Tmn {
         self.matching
     }
 
-    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Option<Vec<f32>> {
-        let (bs, m) = (own.batch_size(), own.max_len);
-        let dh = self.embed.out_dim();
-        let feats = own.feats.data();
-        let mut x_own = self.embed.forward_nograd(&feats, bs * m);
-        infer::leaky_relu_inplace(&mut x_own);
-        let rnn_in = if self.matching {
-            let other_feats = other.feats.data();
-            let mut x_other = self.embed.forward_nograd(&other_feats, bs * m);
-            infer::leaky_relu_inplace(&mut x_other);
-            let mm = infer::matching_matrix(
-                &x_own,
-                &x_other,
-                &own.mask.data(),
-                &other.mask.data(),
-                bs,
-                m,
-                dh,
-            );
-            infer::recycle(x_other);
-            let cat = infer::concat_cols(&x_own, &mm, bs * m, dh, dh);
-            infer::recycle(mm);
-            infer::recycle(x_own);
-            cat
-        } else {
-            x_own
-        };
-        let z = self.rnn.forward_seq_nograd(&rnn_in, bs, m);
-        infer::recycle(rnn_in);
-        let o = self.mlp.forward_nograd(&z, bs * m);
-        infer::recycle(z);
-        let out = infer::gather_last(&o, bs, m, self.dim, &own.last_idx);
-        infer::recycle(o);
-        Some(out)
+    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Vec<f32> {
+        super::embed_nograd(self, own, other)
     }
 
     /// TMN-NM only: the matching variant's representations depend on the
     /// paired trajectory, so a single-trajectory stream is meaningless.
-    fn stream_begin(&self) -> Option<super::ModelStream> {
-        if self.matching {
-            return None;
-        }
-        Some(super::ModelStream::rnn(self.rnn.stream_begin()))
+    fn stream_begin(&self) -> Option<ModelStream> {
+        (!self.matching).then(|| ModelStream::rnn(self.rnn.stash_dim()))
     }
 
-    fn embed_incremental(
-        &self,
-        state: &mut super::ModelStream,
-        point: tmn_traj::Point,
-    ) -> Vec<f32> {
+    fn embed_incremental(&self, state: &mut ModelStream, point: Point) -> Vec<f32> {
         assert!(!self.matching, "TMN: pair-dependent model has no stream");
-        let s = state.rnn_mut("TMN-NM");
-        let feat = [point.lon as f32, point.lat as f32];
-        let mut x = self.embed.forward_nograd(&feat, 1);
-        infer::leaky_relu_inplace(&mut x);
-        let mut z = infer::take(self.dim);
-        self.rnn.stream_step(s, &x, &mut z);
-        infer::recycle(x);
-        // Eq. 13 on just the newest hidden row: the MLP is row-wise, so this
-        // matches the newest row of the full-sequence MLP bitwise.
-        let o = self.mlp.forward_nograd(&z, 1);
-        infer::recycle(z);
-        let out = o[..self.dim].to_vec();
-        infer::recycle(o);
-        state.appended += 1;
-        out
+        super::stream::step(self, state, point)
     }
 
     fn name(&self) -> &'static str {
@@ -190,6 +140,7 @@ impl PairModel for Tmn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmn_autograd::ops;
     use tmn_traj::{Point, Trajectory};
 
     fn traj(seed: u64, len: usize) -> Trajectory {

@@ -19,7 +19,8 @@
 
 use tmn_core::batch::PairBatch;
 use tmn_core::config::ModelConfig;
-use tmn_core::models::ModelKind;
+use tmn_autograd::nn::RnnKind;
+use tmn_core::models::{ModelKind, PairModel, Tmn};
 use tmn_obs::memory;
 use tmn_traj::{Point, Trajectory};
 
@@ -28,7 +29,9 @@ use tmn_traj::{Point, Trajectory};
 /// this, while graph bookkeeping and the returned `[B·d]` vector stay below.
 const LARGE: usize = 4096;
 
-/// The armed counter is process-global; serialize measuring tests.
+/// The armed allocation counter is process-global and counts every
+/// thread's allocations, so every test in this binary takes this lock: a
+/// test allocating beside a measuring one would leak into its count.
 fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -66,6 +69,7 @@ fn gather_graphed(out: &tmn_autograd::Tensor, last_idx: &[usize], d: usize) -> V
 
 #[test]
 fn counting_allocator_is_compiled_in() {
+    let _l = test_lock();
     // The allocation gate rests on the alloc-count feature being active for
     // this crate's test builds; fail loudly if it ever drops.
     assert!(memory::is_active(), "tmn-obs alloc-count feature must be enabled for tests");
@@ -74,22 +78,28 @@ fn counting_allocator_is_compiled_in() {
 
 #[test]
 fn nograd_embeddings_match_graphed_forward_bitwise() {
+    let _l = test_lock();
     let batch = ragged_batch();
-    for kind in ModelKind::ALL {
-        let model = kind.build(&ModelConfig { dim: 16, seed: 7 });
+    let cfg = ModelConfig { dim: 16, seed: 7 };
+    let mut models: Vec<Box<dyn PairModel>> = ModelKind::ALL.iter().map(|k| k.build(&cfg)).collect();
+    // The GRU backbone, with matching on and off.
+    for matching in [true, false] {
+        models.push(Box::new(Tmn::with_rnn(&cfg, matching, RnnKind::Gru)));
+    }
+    for model in &models {
+        let name = model.name();
         let enc = model.encode_pairs(&batch);
         let d = model.dim();
-        let fast_a = model
-            .embed_nograd(&batch.a, &batch.b)
-            .unwrap_or_else(|| panic!("{kind}: no fast path"));
-        let fast_b = model.embed_nograd(&batch.b, &batch.a).unwrap();
-        assert_eq!(fast_a, gather_graphed(&enc.out_a, &batch.a.last_idx, d), "{kind} side A");
-        assert_eq!(fast_b, gather_graphed(&enc.out_b, &batch.b.last_idx, d), "{kind} side B");
+        let fast_a = model.embed_nograd(&batch.a, &batch.b);
+        let fast_b = model.embed_nograd(&batch.b, &batch.a);
+        assert_eq!(fast_a, gather_graphed(&enc.out_a, &batch.a.last_idx, d), "{name} side A");
+        assert_eq!(fast_b, gather_graphed(&enc.out_b, &batch.b.last_idx, d), "{name} side B");
     }
 }
 
 #[test]
 fn neutraj_fast_path_sees_the_warm_memory() {
+    let _l = test_lock();
     // NeuTraj's embeddings depend on its spatial attention memory; the fast
     // path must read the same (written) state as the graphed forward.
     let batch = ragged_batch();
@@ -97,7 +107,7 @@ fn neutraj_fast_path_sees_the_warm_memory() {
     let enc = model.encode_pairs(&batch);
     model.post_step(&batch, &enc); // fill the memory
     let warm = model.encode_pairs(&batch);
-    let fast = model.embed_nograd(&batch.a, &batch.b).unwrap();
+    let fast = model.embed_nograd(&batch.a, &batch.b);
     let graphed = gather_graphed(&warm.out_a, &batch.a.last_idx, model.dim());
     assert_eq!(fast, graphed, "fast path diverged after memory writes");
     // And the memory genuinely changed the output, so this test has teeth.
@@ -110,15 +120,15 @@ fn embed_nograd_allocates_no_graph_nodes_and_stays_in_the_pool() {
     // dim 32 ⇒ the smallest pooled intermediate is B·m·d̂·4 = 8·17·16·4
     // ≈ 8.7 KiB, above LARGE; the returned [B·d] vector is 1 KiB, below.
     let batch = ragged_batch();
-    for kind in [ModelKind::Tmn, ModelKind::TmnNm, ModelKind::Srn, ModelKind::NeuTraj] {
+    for kind in [ModelKind::Tmn, ModelKind::TmnNm, ModelKind::Srn, ModelKind::NeuTraj, ModelKind::T3s] {
         let model = kind.build(&ModelConfig { dim: 32, seed: 3 });
         // Warm the thread-local buffer pool.
         for _ in 0..10 {
-            model.embed_nograd(&batch.a, &batch.b).unwrap();
+            model.embed_nograd(&batch.a, &batch.b);
         }
         let nodes_before = tmn_autograd::nodes_created();
         let (out, large) =
-            memory::count_large_during(LARGE, || model.embed_nograd(&batch.a, &batch.b).unwrap());
+            memory::count_large_during(LARGE, || model.embed_nograd(&batch.a, &batch.b));
         let node_delta = tmn_autograd::nodes_created() - nodes_before;
         assert_eq!(node_delta, 0, "{kind}: embed_nograd created {node_delta} graph nodes");
         assert!(large <= 2, "{kind}: {large} large allocations in a warm embed_nograd call");

@@ -6,14 +6,13 @@
 //! (query, candidate) pairs — the paper's Table III reflects exactly this
 //! cost asymmetry (0.072 s vs 0.00059 s per-trajectory inference).
 //!
-//! Encoding takes the tape-free fast path ([`PairModel::embed_nograd`])
-//! whenever the model provides one, falling back to the graphed forward
-//! under `no_grad` otherwise. The two are bitwise-identical; the fast path
-//! skips graph-node construction entirely. [`encode_all_graphed`] keeps the
-//! graphed path callable directly so the efficiency study can report model
-//! cost and autograd overhead as separate numbers — earlier revisions
-//! quoted a single per-trajectory figure that silently included graph
-//! construction.
+//! Encoding takes the tape-free path ([`PairModel::embed_nograd`]), which
+//! every model has and which is bitwise-identical to the graphed forward
+//! while skipping graph-node construction entirely. [`encode_all_graphed`]
+//! keeps the graphed path callable directly so the efficiency study can
+//! report model cost and autograd overhead as separate numbers — earlier
+//! revisions quoted a single per-trajectory figure that silently included
+//! graph construction.
 
 use tmn_autograd::{no_grad, ops};
 use tmn_core::{PairBatch, PairModel};
@@ -42,9 +41,8 @@ pub fn merge_topk<I: Ord>(mut candidates: Vec<(I, f64)>, k: usize) -> Vec<(I, f6
 /// `d`-dim embedding per trajectory. Intended for models with
 /// `is_pair_dependent() == false`.
 ///
-/// Uses the model's tape-free fast path when it has one (bitwise-identical
-/// to the graphed forward, zero graph-node allocation); otherwise falls
-/// back to [`encode_all_graphed`]'s per-chunk logic under `no_grad`.
+/// Runs the model's tape-free forward (bitwise-identical to the graphed
+/// forward, zero graph-node allocation).
 pub fn encode_all(model: &dyn PairModel, trajs: &[Trajectory], batch_size: usize) -> Vec<Vec<f32>> {
     assert!(batch_size > 0, "encode_all: batch_size must be positive");
     let _prof = profiler::phase("search.encode_all");
@@ -53,13 +51,8 @@ pub fn encode_all(model: &dyn PairModel, trajs: &[Trajectory], batch_size: usize
     for chunk in trajs.chunks(batch_size) {
         let refs: Vec<&Trajectory> = chunk.iter().collect();
         let batch = PairBatch::build(&refs, &refs);
-        if let Some(flat) = model.embed_nograd(&batch.a, &batch.b) {
-            for row in 0..chunk.len() {
-                out.push(flat[row * d..(row + 1) * d].to_vec());
-            }
-        } else {
-            no_grad(|| encode_chunk_graphed(model, &batch, chunk.len(), &mut out));
-        }
+        let flat = model.embed_nograd(&batch.a, &batch.b);
+        out.extend(flat.chunks_exact(d).map(<[f32]>::to_vec));
     }
     out
 }
@@ -75,31 +68,18 @@ pub fn encode_all_graphed(
 ) -> Vec<Vec<f32>> {
     assert!(batch_size > 0, "encode_all_graphed: batch_size must be positive");
     let _prof = profiler::phase("search.encode_all_graphed");
+    let d = model.dim();
     let mut out = Vec::with_capacity(trajs.len());
     no_grad(|| {
         for chunk in trajs.chunks(batch_size) {
             let refs: Vec<&Trajectory> = chunk.iter().collect();
             let batch = PairBatch::build(&refs, &refs);
-            encode_chunk_graphed(model, &batch, chunk.len(), &mut out);
+            let enc = model.encode_pairs(&batch);
+            let last = ops::gather_time(&enc.out_a, &batch.a.last_idx).to_vec();
+            out.extend(last.chunks_exact(d).map(<[f32]>::to_vec));
         }
     });
     out
-}
-
-/// Graphed last-valid-step encoding of one self-paired chunk.
-fn encode_chunk_graphed(
-    model: &dyn PairModel,
-    batch: &PairBatch,
-    rows: usize,
-    out: &mut Vec<Vec<f32>>,
-) {
-    let d = model.dim();
-    let enc = model.encode_pairs(batch);
-    let last = ops::gather_time(&enc.out_a, &batch.a.last_idx);
-    let data = last.to_vec();
-    for row in 0..rows {
-        out.push(data[row * d..(row + 1) * d].to_vec());
-    }
 }
 
 /// Predicted distances from one query to every candidate for a
@@ -118,22 +98,10 @@ pub fn pairwise_query_distances(
         let queries: Vec<&Trajectory> = chunk.iter().map(|_| query).collect();
         let cands: Vec<&Trajectory> = chunk.iter().collect();
         let batch = PairBatch::build(&queries, &cands);
-        // Fast path: two tape-free passes (one per side of the pair).
-        if let Some(qa) = model.embed_nograd(&batch.a, &batch.b) {
-            let cb = model.embed_nograd(&batch.b, &batch.a).expect("fast path must be symmetric");
-            for row in 0..chunk.len() {
-                out.push(embedding_distance(&qa[row * d..(row + 1) * d], &cb[row * d..(row + 1) * d]));
-            }
-            continue;
-        }
-        no_grad(|| {
-            let enc = model.encode_pairs(&batch);
-            let qa = ops::gather_time(&enc.out_a, &batch.a.last_idx).to_vec();
-            let cb = ops::gather_time(&enc.out_b, &batch.b.last_idx).to_vec();
-            for row in 0..chunk.len() {
-                out.push(embedding_distance(&qa[row * d..(row + 1) * d], &cb[row * d..(row + 1) * d]));
-            }
-        });
+        // Two tape-free passes, one per side of the pair.
+        let qa = model.embed_nograd(&batch.a, &batch.b);
+        let cb = model.embed_nograd(&batch.b, &batch.a);
+        out.extend(qa.chunks_exact(d).zip(cb.chunks_exact(d)).map(|(q, c)| embedding_distance(q, c)));
     }
     out
 }

@@ -24,7 +24,7 @@ pub struct EfficiencyRow {
     /// Seconds per training epoch (None for exact metrics).
     pub training_s: Option<f64>,
     /// Seconds to encode one trajectory on the serving path — the tape-free
-    /// forward when the model has one (None for exact metrics).
+    /// forward (None for exact metrics).
     pub inference_s: Option<f64>,
     /// Seconds to encode one trajectory through the graphed autograd
     /// forward. Reported alongside `inference_s` so the table separates
@@ -67,11 +67,11 @@ pub fn time_exact_pairwise_counted(
 /// pair-dependent models this measures self-paired encoding, matching how
 /// the paper reports TMN's per-trajectory inference cost.
 ///
-/// Measures the serving path: `encode_all` takes the tape-free fast path
-/// when the model has one. Earlier revisions always went through the
-/// graphed forward, so the reported "inference" time silently included
-/// autograd graph construction; use [`time_inference_split`] to see both
-/// numbers side by side.
+/// Measures the serving path: `encode_all` takes the tape-free forward.
+/// Earlier revisions always went through the graphed forward, so the
+/// reported "inference" time silently included autograd graph
+/// construction; use [`time_inference_split`] to see both numbers side by
+/// side.
 pub fn time_inference_per_trajectory_counted(
     model: &dyn PairModel,
     trajs: &[Trajectory],
@@ -86,7 +86,7 @@ pub fn time_inference_per_trajectory_counted(
 /// Per-trajectory inference wall clock, split by forward implementation.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct InferenceTimings {
-    /// Total seconds for the serving path (tape-free when available).
+    /// Total seconds for the serving path (tape-free).
     pub nograd_s: f64,
     /// Total seconds for the graphed autograd forward under `no_grad`.
     pub graphed_s: f64,
@@ -103,8 +103,7 @@ impl InferenceTimings {
 
 /// Time both forward implementations over the same trajectories so Table
 /// III can report model cost (tape-free) and autograd overhead (graphed)
-/// as separate numbers. For models without a fast path the two passes run
-/// the same code and the ratio is ≈ 1.
+/// as separate numbers.
 pub fn time_inference_split(
     model: &dyn PairModel,
     trajs: &[Trajectory],

@@ -24,20 +24,30 @@ cargo test -q --workspace -- --test-threads=1
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== recurrent graph-node budget (<=3 nodes per step x direction) =="
+echo "== recurrent graph-node budget (<=3 nodes per step) =="
 cargo run --release -p tmn-bench --bin profile -- --nodes
 
 echo "== profile smoke (observability artifacts) =="
-cargo run --release -p tmn-bench --bin profile -- --quick
-test -s results/PROFILE_ops.json
-test -s results/PROFILE_telemetry.jsonl
-cargo run --release -p tmn-bench --bin profile -- --check
+# The profile bin writes results/ relative to its working directory; run it
+# in a scratch directory so CI leaves the committed results/ untouched.
+root="$PWD"
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+mkdir -p "$scratch/results"
+(
+  cd "$scratch"
+  cargo run --release --manifest-path "$root/Cargo.toml" -p tmn-bench --bin profile -- --quick
+  test -s results/PROFILE_ops.json
+  test -s results/PROFILE_telemetry.jsonl
+  cargo run --release --manifest-path "$root/Cargo.toml" -p tmn-bench --bin profile -- --check
 
-echo "== bench_diff self-check (regression gate dry run) =="
-# Identity diff of a results file against itself must pass; a synthetic
-# perturbation of every gated metric must be caught. Two-run usage:
-#   cargo run --release -p tmn-bench --bin bench_diff -- base.json head.json
-cargo run --release -p tmn-bench --bin bench_diff -- --self-check results/PROFILE_ops.json
+  echo "== bench_diff self-check (regression gate dry run) =="
+  # Identity diff of a results file against itself must pass; a synthetic
+  # perturbation of every gated metric must be caught. Two-run usage:
+  #   cargo run --release -p tmn-bench --bin bench_diff -- base.json head.json
+  cargo run --release --manifest-path "$root/Cargo.toml" -p tmn-bench --bin bench_diff -- \
+    --self-check results/PROFILE_ops.json
+)
 if [ -s results/BENCH_throughput.json ]; then
   cargo run --release -p tmn-bench --bin bench_diff -- --self-check results/BENCH_throughput.json
 fi
